@@ -1,8 +1,7 @@
 //! Submission-path benchmark for the serving layer: latency and throughput
-//! of job submission at 1/4/16 concurrent clients, comparing the legacy
-//! spool protocol (atomic tmp-write + rename into a watched directory)
-//! against the HTTP gateway (socket round-trip through parsing, admission,
-//! journal write-ahead, and lane enqueue).
+//! of job submission to the HTTP gateway at 1/4/16 concurrent clients
+//! (socket round-trip through parsing, admission, journal write-ahead, and
+//! lane enqueue).
 //!
 //! Jobs are zero-length sleeps so the numbers isolate the submission path
 //! rather than proving. Rows are appended to `BENCH_NET.json` at the repo
@@ -13,7 +12,6 @@
 //! ```
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use zkml_net::{http_request, AdmissionConfig, Gateway, GatewayConfig, TenantPolicy};
 use zkml_service::ServiceConfig;
@@ -22,7 +20,6 @@ const CLIENTS: [usize; 3] = [1, 4, 16];
 const REQUESTS_PER_CLIENT: usize = 200;
 
 struct Row {
-    transport: &'static str,
     clients: usize,
     total: usize,
     elapsed_s: f64,
@@ -33,9 +30,8 @@ struct Row {
 impl Row {
     fn json(&self) -> String {
         format!(
-            "{{\"bench\":\"submit\",\"transport\":\"{}\",\"clients\":{},\"requests\":{},\
+            "{{\"bench\":\"submit\",\"transport\":\"http\",\"clients\":{},\"requests\":{},\
              \"throughput_per_s\":{:.1},\"p50_us\":{},\"p95_us\":{}}}",
-            self.transport,
             self.clients,
             self.total,
             self.total as f64 / self.elapsed_s,
@@ -55,7 +51,7 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 
 /// Runs `clients` threads, each performing `REQUESTS_PER_CLIENT` submits via
 /// `submit_one`, and returns the latency distribution.
-fn run_clients<F>(transport: &'static str, clients: usize, submit_one: F) -> Row
+fn run_clients<F>(clients: usize, submit_one: F) -> Row
 where
     F: Fn(usize, usize) + Sync,
 {
@@ -84,7 +80,6 @@ where
     let mut sorted = latencies;
     sorted.sort_unstable();
     Row {
-        transport,
         clients,
         total: sorted.len(),
         elapsed_s,
@@ -93,24 +88,10 @@ where
     }
 }
 
-/// Spool submission: reserve a unique stem, write the request to a tmp
-/// file, and atomically rename it into place — the same steps as
-/// `zkml submit --spool` minus argument parsing.
-fn bench_spool(clients: usize, dir: &Path) -> Row {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    run_clients("spool", clients, |_, _| {
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let tmp = dir.join(format!("job-{n:08}.tmp"));
-        let req = dir.join(format!("job-{n:08}.req"));
-        std::fs::write(&tmp, "model=mnist\nbackend=kzg\nseed=1\n").unwrap();
-        std::fs::rename(&tmp, &req).unwrap();
-    })
-}
-
 /// HTTP submission: full socket round-trip to a 202, through admission and
 /// the journal write-ahead.
 fn bench_http(clients: usize, addr: &str) -> Row {
-    run_clients("http", clients, |_, _| {
+    run_clients(clients, |_, _| {
         let resp = http_request(
             addr,
             "POST",
@@ -128,19 +109,6 @@ fn main() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let mut rows = Vec::new();
-    for clients in CLIENTS {
-        let spool = dir.join(format!("spool-{clients}"));
-        std::fs::create_dir_all(&spool).unwrap();
-        let row = bench_spool(clients, &spool);
-        println!(
-            "spool clients={clients}: {:.0}/s, p50 {} us, p95 {} us",
-            row.total as f64 / row.elapsed_s,
-            row.p50_us,
-            row.p95_us
-        );
-        rows.push(row);
-    }
-
     for clients in CLIENTS {
         // Fresh gateway per point so the journal and lanes start empty;
         // generous limits keep admission out of the rejection path.
@@ -167,7 +135,7 @@ fn main() {
         let addr = gw.local_addr().to_string();
         let row = bench_http(clients, &addr);
         println!(
-            "http  clients={clients}: {:.0}/s, p50 {} us, p95 {} us",
+            "http clients={clients}: {:.0}/s, p50 {} us, p95 {} us",
             row.total as f64 / row.elapsed_s,
             row.p50_us,
             row.p95_us

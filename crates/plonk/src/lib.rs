@@ -17,7 +17,6 @@
 //! is what makes the ZKML cost model (crate `zkml`, module `cost`)
 //! transferable.
 
-pub mod arena;
 pub mod circuit;
 pub mod expression;
 pub mod keygen;
@@ -27,7 +26,6 @@ pub mod prover;
 pub mod serialize;
 pub mod verifier;
 
-pub use arena::PolyArena;
 pub use circuit::{
     CellRef, ConstraintSystem, Gate, Lookup, Preprocessed, WitnessSource, BLINDING_FACTORS,
 };

@@ -1,14 +1,14 @@
-//! On-disk proof artifact layout shared by the service, the spool protocol,
-//! and the CLI's standalone prove/verify flows.
+//! On-disk proof artifact layout shared by the CLI's prove, submit, status
+//! and verify flows.
 //!
-//! A proof directory holds `proof.bin`, `vk.bin`, and `public.bin`; the
-//! public-values file carries the backend tag followed by the first
-//! instance column. Proofs of committed-weight circuits additionally get
-//! `commitment.bin` (the serialized `WeightCommitment` the proof verifies
-//! against — a committed proof is unverifiable without one).
+//! A proof directory holds `proof.bin`, `vk.bin`, and `public.bin` (or
+//! `bundle.bin` and `public.bin` for a segmented bundle); the public-values
+//! file carries the backend tag followed by the first instance column.
+//! Proofs of committed-weight circuits additionally get `commitment.bin`
+//! (the serialized `WeightCommitment` the proof verifies against — a
+//! committed proof is unverifiable without one).
 
 use crate::error::ServiceError;
-use crate::service::ProofArtifacts;
 use std::path::Path;
 use zkml_ff::Fr;
 use zkml_pcs::{Backend, ReadError, Reader, Writer};
@@ -46,31 +46,36 @@ pub fn decode_public(bytes: &[u8]) -> Result<(Backend, Vec<Fr>), ReadError> {
     Ok((backend, values))
 }
 
-/// Writes a completed job's artifacts into `dir` (created if missing):
-/// `proof.bin` + `vk.bin` + `public.bin` for monolithic proofs, or
-/// `bundle.bin` + `public.bin` for segmented bundles (whose per-segment
-/// verifying keys live inside the bundle).
-pub fn write_proof_dir(dir: &Path, artifacts: &ProofArtifacts) -> Result<(), ServiceError> {
-    fn io(what: &str) -> impl Fn(std::io::Error) -> ServiceError + '_ {
-        move |e| ServiceError::Io(format!("{what}: {e}"))
+/// Writes a proof directory that `zkml verify --dir` accepts into `dir`
+/// (created if missing). `vk: Some` writes a monolithic `proof.bin` +
+/// `vk.bin`; `vk: None` writes `proof` as `bundle.bin`, since a segmented
+/// bundle carries its own per-segment verifying keys. `commitment` becomes
+/// `commitment.bin`, and `public.bin` is always written.
+pub fn write_proof_dir(
+    dir: &Path,
+    backend: Backend,
+    proof: &[u8],
+    vk: Option<&[u8]>,
+    public: &[Fr],
+    commitment: Option<&[u8]>,
+) -> Result<(), ServiceError> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| ServiceError::Io(format!("create {}: {e}", dir.display())))?;
+    let write = |name: &str, bytes: &[u8]| {
+        std::fs::write(dir.join(name), bytes)
+            .map_err(|e| ServiceError::Io(format!("write {name}: {e}")))
+    };
+    match vk {
+        Some(vk) => {
+            write("proof.bin", proof)?;
+            write("vk.bin", vk)?;
+        }
+        None => write("bundle.bin", proof)?,
     }
-    std::fs::create_dir_all(dir).map_err(io("create proof dir"))?;
-    if artifacts.bundle.is_some() {
-        std::fs::write(dir.join("bundle.bin"), &artifacts.proof).map_err(io("write bundle.bin"))?;
-    } else {
-        std::fs::write(dir.join("proof.bin"), &artifacts.proof).map_err(io("write proof.bin"))?;
-        std::fs::write(dir.join("vk.bin"), &artifacts.vk_bytes).map_err(io("write vk.bin"))?;
+    if let Some(commitment) = commitment {
+        write("commitment.bin", commitment)?;
     }
-    if !artifacts.weight_commitment.is_empty() {
-        std::fs::write(dir.join("commitment.bin"), &artifacts.weight_commitment)
-            .map_err(io("write commitment.bin"))?;
-    }
-    std::fs::write(
-        dir.join("public.bin"),
-        encode_public(artifacts.backend, &artifacts.public),
-    )
-    .map_err(io("write public.bin"))?;
-    Ok(())
+    write("public.bin", &encode_public(backend, public))
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ pub enum ServiceError {
     Cancelled,
     /// The service is shutting down and no longer accepts or answers jobs.
     Shutdown,
-    /// Reading or writing a service artifact (spool file, cache entry).
+    /// Reading or writing a service artifact (proof directory, cache entry).
     Io(String),
 }
 
@@ -73,16 +73,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Shutdown => write!(f, "service is shutting down"),
             ServiceError::Io(msg) => write!(f, "io error: {msg}"),
         }
-    }
-}
-
-impl ServiceError {
-    /// True for rejections that are pure backpressure: the request was
-    /// well-formed and would likely succeed if retried after a backoff.
-    /// Front-ends map these to distinct exit codes / HTTP 429 so callers
-    /// can tell "try again later" apart from "this job is broken".
-    pub fn is_backpressure(&self) -> bool {
-        matches!(self, ServiceError::Busy { .. })
     }
 }
 

@@ -21,8 +21,8 @@
 //! * a **metrics layer** ([`stats`]) tracks jobs, queue depth, cache hit
 //!   rate, and prove-latency percentiles as a serializable snapshot.
 //!
-//! The `zkml` binary (`serve` / `submit` subcommands) fronts this library
-//! with a spool-directory protocol.
+//! The `zkml-net` crate fronts this library with an HTTP gateway
+//! (`zkml serve --http`).
 
 pub mod artifact;
 pub mod cache;
@@ -37,8 +37,8 @@ pub use cache::{pk_matches_circuit, ArtifactCache, ArtifactKey, CacheOutcome, SR
 pub use error::ServiceError;
 pub use registry::{ModelEntry, ModelRegistry};
 pub use service::{
-    CancelToken, JobHandle, JobKind, JobResult, JobSpec, ProofArtifacts, ProvingService,
-    ServiceConfig,
+    synthetic_inputs, CancelToken, JobHandle, JobKind, JobResult, JobSpec, ProofArtifacts,
+    ProvingService, ServiceConfig,
 };
 pub use stats::{ServiceStats, StatsSnapshot};
 pub use verify::{BatchOutcome, BatchReport, BatchVerifier, PendingProof};

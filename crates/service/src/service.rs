@@ -240,8 +240,6 @@ impl JobSpec {
 pub struct ProofArtifacts {
     /// The job's id.
     pub job_id: u64,
-    /// Model name (from the graph).
-    pub model: String,
     /// Backend the proof targets.
     pub backend: Backend,
     /// Circuit size exponent the optimizer chose.
@@ -404,13 +402,6 @@ impl ProvingService {
         })
     }
 
-    /// Number of worker threads actually running. May be lower than the
-    /// configured count: workers are capped at the global `zkml-par` pool
-    /// size so prover-internal parallelism never oversubscribes cores.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Submits a job. Never blocks: a full queue rejects immediately with
     /// [`ServiceError::Busy`] so callers can apply backpressure upstream.
     pub fn submit(&self, mut spec: JobSpec) -> Result<JobHandle, ServiceError> {
@@ -459,11 +450,6 @@ impl ProvingService {
         self.submit(JobSpec::prove(Arc::new(graph), backend, seed))
     }
 
-    /// The live metrics.
-    pub fn stats(&self) -> &ServiceStats {
-        &self.ctx.stats
-    }
-
     /// A snapshot of the metrics with the queue depth refreshed.
     pub fn snapshot(&self) -> StatsSnapshot {
         if let Some(tx) = &self.tx {
@@ -472,21 +458,11 @@ impl ProvingService {
         self.ctx.stats.snapshot()
     }
 
-    /// The shared artifact cache.
-    pub fn cache(&self) -> &ArtifactCache {
-        &self.ctx.cache
-    }
-
     /// The registry of published model commitments. Populated by
     /// [`JobKind::CommitModel`] jobs; front ends read it to list models
     /// and resolve digests.
     pub fn registry(&self) -> &ModelRegistry {
         &self.ctx.registry
-    }
-
-    /// Number of jobs waiting in the queue.
-    pub fn queue_depth(&self) -> usize {
-        self.tx.as_ref().map_or(0, Sender::len)
     }
 
     /// Number of completed proofs queued for batched verification. Callers
@@ -739,8 +715,9 @@ fn hex32(bytes: &[u8; 32]) -> String {
 }
 
 /// Synthetic quantized inputs for a proving job, derived from the request
-/// seed (shared by the monolithic and segmented paths).
-fn synthetic_inputs(graph: &Graph, scale_bits: u32, seed: u64) -> Vec<Tensor<i64>> {
+/// seed (shared by the monolithic and segmented paths, and by the CLI's
+/// standalone prove flows, so one seed names one input everywhere).
+pub fn synthetic_inputs(graph: &Graph, scale_bits: u32, seed: u64) -> Vec<Tensor<i64>> {
     let fp = FixedPoint::new(scale_bits);
     let mut rng = StdRng::seed_from_u64(seed);
     graph
@@ -873,7 +850,6 @@ fn commit_model_job(
     let digest = ctx.registry.publish(entry);
     Ok(ProofArtifacts {
         job_id: job.id,
-        model: graph.name.clone(),
         backend,
         k: compiled.k,
         proof: Vec::new(),
@@ -1007,7 +983,6 @@ fn prove_job(
 
     Ok(ProofArtifacts {
         job_id: job.id,
-        model: graph.name.clone(),
         backend,
         k: compiled.k,
         proof,
@@ -1132,7 +1107,6 @@ fn prove_segmented_job(
     let nsegs = bundle.segments.len() as u32;
     Ok(ProofArtifacts {
         job_id: job.id,
-        model: graph.name.clone(),
         backend,
         k: max_k,
         proof: bundle.to_bytes(),

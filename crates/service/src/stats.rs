@@ -2,15 +2,20 @@
 //! serializable point-in-time snapshot for operators and the CLI.
 
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Prove latencies kept for the percentile window: the most recent samples
+/// only, so memory and snapshot cost stay bounded under sustained traffic.
+const LATENCY_WINDOW: usize = 1024;
 
 /// Live counters shared between the service, its workers, and observers.
 ///
 /// Counters are monotonically increasing except `queue_depth`, which is a
 /// gauge the service refreshes on submission and completion. Prove
-/// latencies are kept in full (one `u64` of milliseconds per completed
-/// proof) so percentiles are exact rather than estimated; a proving service
-/// completes jobs at a rate where this stays small.
+/// latencies are kept for the most recent `LATENCY_WINDOW` proofs (one
+/// `u64` of milliseconds each), so the percentiles are exact over that
+/// window and the buffer never grows past it.
 #[derive(Default)]
 pub struct ServiceStats {
     jobs_submitted: AtomicU64,
@@ -26,7 +31,7 @@ pub struct ServiceStats {
     proofs_verified: AtomicU64,
     verify_failures: AtomicU64,
     queue_depth: AtomicU64,
-    prove_latencies_ms: Mutex<Vec<u64>>,
+    prove_latencies_ms: Mutex<VecDeque<u64>>,
 }
 
 impl ServiceStats {
@@ -74,7 +79,11 @@ impl ServiceStats {
         self.queue_depth.store(depth as u64, Ordering::Relaxed);
     }
     pub(crate) fn record_prove_latency_ms(&self, ms: u64) {
-        self.prove_latencies_ms.lock().push(ms);
+        let mut lat = self.prove_latencies_ms.lock();
+        if lat.len() == LATENCY_WINDOW {
+            lat.pop_front();
+        }
+        lat.push_back(ms);
     }
 
     /// Captures a consistent-enough snapshot of every metric. Individual
@@ -84,7 +93,7 @@ impl ServiceStats {
     pub fn snapshot(&self) -> StatsSnapshot {
         let hits = self.cache_hits.load(Ordering::Relaxed);
         let misses = self.cache_misses.load(Ordering::Relaxed);
-        let lat = self.prove_latencies_ms.lock().clone();
+        let lat: Vec<u64> = self.prove_latencies_ms.lock().iter().copied().collect();
         let par = zkml_par::global().metrics();
         StatsSnapshot {
             threads: par.threads as u64,
@@ -168,9 +177,10 @@ pub struct StatsSnapshot {
     pub verify_failures: u64,
     /// Jobs currently waiting in the queue.
     pub queue_depth: u64,
-    /// Median end-to-end prove latency in milliseconds.
+    /// Median end-to-end prove latency in milliseconds, over the most
+    /// recent `LATENCY_WINDOW` proofs.
     pub prove_p50_ms: u64,
-    /// 95th-percentile prove latency in milliseconds.
+    /// 95th-percentile prove latency in milliseconds, over the same window.
     pub prove_p95_ms: u64,
 }
 
@@ -253,6 +263,22 @@ mod tests {
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.prove_p50_ms, 10);
         assert_eq!(snap.prove_p95_ms, 30);
+    }
+
+    #[test]
+    fn latency_window_keeps_the_most_recent_samples() {
+        let s = ServiceStats::new();
+        for ms in 0..10_000 {
+            s.record_prove_latency_ms(ms);
+        }
+        assert_eq!(s.prove_latencies_ms.lock().len(), LATENCY_WINDOW);
+        // Percentiles are those of the last 1024 samples, 8976..=9999.
+        let last: Vec<u64> = (10_000 - LATENCY_WINDOW as u64..10_000).collect();
+        let snap = s.snapshot();
+        assert_eq!(snap.prove_p50_ms, percentile(&last, 50));
+        assert_eq!(snap.prove_p50_ms, 8976 + 511);
+        assert_eq!(snap.prove_p95_ms, percentile(&last, 95));
+        assert_eq!(snap.prove_p95_ms, 8976 + 972);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! (magic, counts, length prefixes), every segment's verifying key and
 //! instance encoding, and the per-segment proof bytes — all deterministic
 //! under seeded SRS and prover randomness. Pinning the bytes catches any
-//! accidental format drift: old spooled bundles must keep verifying across
-//! releases, so an encoding change has to be deliberate (regenerate with
+//! accidental format drift: bundles written to disk must keep verifying
+//! across releases, so an encoding change has to be deliberate (regenerate with
 //! `ZKML_REGEN_GOLDEN=1`).
 
 use std::path::PathBuf;

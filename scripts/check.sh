@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release (workspace, including the zkml CLI)"
 cargo build --workspace --release
 
+echo "==> cargo build --release (perfbench, its own workspace outside the one above)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q (workspace, default ZKML_THREADS)"
 cargo test --workspace -q
 
