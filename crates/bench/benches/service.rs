@@ -39,7 +39,7 @@ fn bench_cache(c: &mut Criterion) {
     let inputs = random_inputs(&g, 1, fp);
     let report = optimizer::optimize(&g, &inputs, &opts, hw).unwrap();
     let compiled = report.synthesize_best().unwrap();
-    let key = ArtifactKey::for_circuit(g.content_hash(), backend, &compiled);
+    let key = ArtifactKey::for_plan(g.arch_hash(), backend, &report.best_plan);
 
     let mut group = c.benchmark_group("service_cache");
     group.sample_size(10);

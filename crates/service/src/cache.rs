@@ -1,17 +1,27 @@
-//! The artifact cache: per-model proving/verifying keys and per-size SRS,
-//! shared across workers behind `parking_lot::RwLock`s, with optional disk
-//! spill so a restarted service skips key generation entirely.
+//! The artifact cache: per-architecture layout plans, per-model
+//! proving/verifying keys and per-size SRS, shared across workers behind
+//! `parking_lot::RwLock`s, with optional disk spill of proving keys so a
+//! restarted service skips key generation entirely.
+//!
+//! Layout plans are memoized per `(architecture hash, backend)`. The
+//! optimizer's winner is a pure function of the architecture, the backend,
+//! `max_k` and the hardware cost table. Within one service `max_k` is fixed
+//! by the config and the cost table is a process-wide `OnceLock`, and the
+//! sweep itself is deterministic, so the layout search is paid once per
+//! architecture and backend per service process. Later jobs only lower the
+//! graph and synthesize the memoized plan, which re-checks `k`, statistics
+//! and the constraint system against it. Plans live in memory only.
 //!
 //! Keys are cached under `(architecture hash, backend, circuit digest)` —
 //! the exact inputs key generation depends on. With weights living in
 //! committed columns, keygen never reads a weight value, so the namespace
 //! is `Graph::arch_hash()` (structure only): every weight set of one
 //! architecture shares a single cached proving key. The circuit digest
-//! ([`zkml::CompiledCircuit::circuit_digest`]) covers the optimizer's full
-//! layout choice and the serialized constraint system; the optimizer picks
-//! layouts from machine- and run-dependent timing measurements, so two runs
-//! can compile the same model to different circuits with the same `k`, and
-//! a key cached for one must never be applied to the other. As a second
+//! ([`zkml::LayoutPlan::digest`]) covers the optimizer's full layout
+//! choice and the serialized constraint system; the optimizer picks
+//! layouts from a cost table calibrated on the host, so two processes can
+//! compile the same model to different circuits with the same `k`, and a
+//! key cached for one must never be applied to the other. As a second
 //! line of defense against stale or foreign spill files, cached keys are
 //! validated against the freshly compiled circuit before use. The SRS is a
 //! public artifact this reproduction regenerates from a fixed seed (see
@@ -24,7 +34,7 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use zkml::CompiledCircuit;
+use zkml::{CompiledCircuit, LayoutPlan};
 use zkml_pcs::{Backend, Params, Writer};
 use zkml_plonk::{serialize::write_cs, ProvingKey};
 
@@ -43,9 +53,9 @@ pub struct ArtifactKey {
     pub backend: Backend,
     /// log2 of the circuit's row count.
     pub k: u32,
-    /// `CompiledCircuit::circuit_digest()` — pins the layout choice and
-    /// constraint system the key was generated for, which `k` alone does
-    /// not (the optimizer's choice is timing-dependent).
+    /// `LayoutPlan::digest()` — pins the layout choice and constraint
+    /// system the key was generated for, which `k` alone does not (the
+    /// optimizer's choice depends on the host's cost table).
     pub circuit: [u8; 32],
 }
 
@@ -58,24 +68,12 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 impl ArtifactKey {
-    /// The key identifying `compiled` (a compilation of the model whose
-    /// architecture hashes to `arch_hash`) for `backend`.
-    pub fn for_circuit(arch_hash: [u8; 32], backend: Backend, compiled: &CompiledCircuit) -> Self {
-        Self {
-            arch_hash,
-            backend,
-            k: compiled.k,
-            circuit: compiled.circuit_digest(),
-        }
-    }
-
     /// The key identifying the circuit a [`zkml::LayoutPlan`] describes,
     /// before any witness is synthesized. [`zkml::LayoutPlan::digest`] is
-    /// byte-identical to the synthesized circuit's digest, so this equals
-    /// [`ArtifactKey::for_circuit`] of the eventual compilation — key
-    /// lookups (and keygen) can start as soon as the optimizer picks a
-    /// plan.
-    pub fn for_plan(arch_hash: [u8; 32], backend: Backend, plan: &zkml::LayoutPlan) -> Self {
+    /// byte-identical to the synthesized circuit's
+    /// [`CompiledCircuit::circuit_digest`], so key lookups (and keygen) can
+    /// start as soon as a plan is known.
+    pub fn for_plan(arch_hash: [u8; 32], backend: Backend, plan: &LayoutPlan) -> Self {
         Self {
             arch_hash,
             backend,
@@ -132,8 +130,12 @@ impl CacheOutcome {
     }
 }
 
-/// Shared cache of proving keys and SRS instances.
+/// Identity of a memoized layout plan: `Graph::arch_hash()` and backend.
+type PlanKey = ([u8; 32], Backend);
+
+/// Shared cache of layout plans, proving keys and SRS instances.
 pub struct ArtifactCache {
+    plans: RwLock<HashMap<PlanKey, Arc<LayoutPlan>>>,
     keys: RwLock<HashMap<ArtifactKey, Arc<ProvingKey>>>,
     params: RwLock<HashMap<(Backend, u32), Arc<Params>>>,
     disk_dir: Option<PathBuf>,
@@ -143,6 +145,7 @@ impl ArtifactCache {
     /// A purely in-memory cache.
     pub fn in_memory() -> Self {
         Self {
+            plans: RwLock::new(HashMap::new()),
             keys: RwLock::new(HashMap::new()),
             params: RwLock::new(HashMap::new()),
             disk_dir: None,
@@ -154,6 +157,7 @@ impl ArtifactCache {
     pub fn with_disk(dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
         Ok(Self {
+            plans: RwLock::new(HashMap::new()),
             keys: RwLock::new(HashMap::new()),
             params: RwLock::new(HashMap::new()),
             disk_dir: Some(dir.to_path_buf()),
@@ -163,6 +167,28 @@ impl ArtifactCache {
     /// The spill directory, if configured.
     pub fn disk_dir(&self) -> Option<&Path> {
         self.disk_dir.as_deref()
+    }
+
+    /// The memoized layout plan for an architecture and backend, if a
+    /// layout search already ran for it in this process.
+    pub fn plan(&self, arch_hash: [u8; 32], backend: Backend) -> Option<Arc<LayoutPlan>> {
+        self.plans.read().get(&(arch_hash, backend)).cloned()
+    }
+
+    /// Memoizes the winning plan of a layout search. If two workers raced
+    /// through the same search the first insert wins; both plans are
+    /// identical because the search is deterministic within a process.
+    pub fn insert_plan(
+        &self,
+        arch_hash: [u8; 32],
+        backend: Backend,
+        plan: LayoutPlan,
+    ) -> Arc<LayoutPlan> {
+        let mut map = self.plans.write();
+        Arc::clone(
+            map.entry((arch_hash, backend))
+                .or_insert_with(|| Arc::new(plan)),
+        )
     }
 
     /// Returns the SRS for `(backend, k)`, generating it on first use.

@@ -56,7 +56,9 @@ impl Default for ServiceConfig {
 
 /// What a job asks the service to do.
 pub enum JobKind {
-    /// Optimize, compile, and prove one inference of `graph`.
+    /// Compile and prove one inference of `graph`. The layout search runs
+    /// only for the first job of an architecture and backend; later jobs
+    /// reuse the memoized plan.
     Prove {
         /// The model graph.
         graph: Arc<Graph>,
@@ -73,10 +75,10 @@ pub enum JobKind {
         model: Option<[u8; 32]>,
     },
     /// Publish `graph`'s weight commitment: compile it, commit the weight
-    /// columns once, warm the (weight-independent) proving key, and
-    /// register the commitment so later prove/verify jobs can reference
-    /// it by digest. The artifacts carry the serialized commitment and
-    /// its digest but no proof.
+    /// columns once, warm the layout plan and the (weight-independent)
+    /// proving key, and register the commitment so later prove/verify jobs
+    /// can reference it by digest. The artifacts carry the serialized
+    /// commitment and its digest but no proof.
     CommitModel {
         /// The model graph.
         graph: Arc<Graph>,
@@ -736,10 +738,10 @@ pub fn synthetic_inputs(graph: &Graph, scale_bits: u32, seed: u64) -> Vec<Tensor
         .collect()
 }
 
-/// Compiles `graph` (optimize → synthesize → determinism gate) and fetches
-/// its proving key through the arch-keyed artifact cache. Shared by the
-/// prove and commit-model paths so both agree byte-for-byte on the circuit
-/// a model compiles to.
+/// Compiles `graph` (memoized layout plan → synthesize → determinism gate)
+/// and fetches its proving key through the arch-keyed artifact cache.
+/// Shared by the prove and commit-model paths so both agree byte-for-byte
+/// on the circuit a model compiles to.
 fn compile_and_key(
     ctx: &WorkerCtx,
     job: &Job,
@@ -755,21 +757,32 @@ fn compile_and_key(
     ),
     ServiceError,
 > {
-    // Inputs first: the optimizer lowers the graph exactly once, and by
-    // handing it the real inputs that single schedule also carries the
-    // witness values for final synthesis.
     let opts = OptimizerOptions::new(backend, ctx.max_k);
     let inputs = synthetic_inputs(graph, opts.numeric.scale_bits, seed);
+    let compile_err = |e: zkml::ZkmlError| ServiceError::Compile(e.to_string());
 
-    // Layout search, then synthesis of the winning plan (no re-lowering).
-    // An infeasible model (no layout within max_k) fails this job, not the
-    // worker.
-    let hw = zkml::cost::HardwareStats::cached();
-    let report = optimizer::optimize(graph, &inputs, &opts, hw)
-        .map_err(|e| ServiceError::Compile(e.to_string()))?;
-    let compiled = report
-        .synthesize_best()
-        .map_err(|e| ServiceError::Compile(e.to_string()))?;
+    // The layout plan is memoized per (architecture, backend): the winner
+    // is a pure function of that key within one service (see cache.rs), so
+    // only the first job of an architecture runs the sweep. A hit lowers
+    // the graph over this job's inputs; a miss reuses the sweep's single
+    // lowering. Either way synthesis cross-checks the witness circuit
+    // against the plan. An infeasible model (no layout within max_k) fails
+    // this job, not the worker.
+    let arch_hash = graph.arch_hash();
+    let (sched, plan) = match ctx.cache.plan(arch_hash, backend) {
+        Some(plan) => (
+            zkml::layers::lower_graph(graph, &inputs, opts.numeric),
+            plan,
+        ),
+        None => {
+            ctx.stats.record_layout_search();
+            let hw = zkml::cost::HardwareStats::cached();
+            let report = optimizer::optimize(graph, &inputs, &opts, hw).map_err(compile_err)?;
+            let plan = ctx.cache.insert_plan(arch_hash, backend, report.best_plan);
+            (report.schedule, plan)
+        }
+    };
+    let compiled = zkml::synthesize(&sched, &plan).map_err(compile_err)?;
     // Determinism gate: never spend keygen/proving time on a layout the
     // static analyzer can show is underconstrained.
     compiled
@@ -778,21 +791,14 @@ fn compile_and_key(
     check_cancelled(job)?;
     check_deadline(job)?;
 
-    // Key material, through the artifact cache. The key pins the circuit
-    // digest (layout choice + constraint system), not just k, and a cached
-    // key is still validated against the compiled circuit before use: a
-    // stale spill file must fall back to keygen, never produce a proof
-    // under a mismatched key. The namespace is the *architecture* hash:
-    // weights live in committed columns that keygen never reads, so two
-    // weight sets of one architecture share a single cached key. The
-    // winning plan's digest is byte-identical to the compiled circuit's,
-    // so the key could equally be derived before synthesis via
-    // ArtifactKey::for_plan.
-    let key = ArtifactKey::for_plan(graph.arch_hash(), backend, &report.best_plan);
-    debug_assert_eq!(
-        key,
-        ArtifactKey::for_circuit(graph.arch_hash(), backend, &compiled)
-    );
+    // Key material, through the artifact cache. The key pins the plan's
+    // circuit digest (layout choice + constraint system), not just k, and
+    // a cached key is still validated against the compiled circuit before
+    // use: a stale spill file must fall back to keygen, never produce a
+    // proof under a mismatched key. The namespace is the *architecture*
+    // hash: weights live in committed columns that keygen never reads, so
+    // two weight sets of one architecture share a single cached key.
+    let key = ArtifactKey::for_plan(arch_hash, backend, &plan);
     let params = ctx.cache.params(backend, compiled.k);
     let (pk, cache_outcome) = ctx.cache.get_or_generate(
         key,
@@ -999,9 +1005,10 @@ fn prove_job(
 
 /// [`KeySource`] over the service's artifact cache: params are memoized per
 /// `(backend, k)` and each segment's proving key is cached under its own
-/// [`ArtifactKey`] (model hash + backend + the segment plan's circuit
-/// digest), so the pk cache shards naturally across segments and a repeat
-/// job skips keygen for every segment.
+/// [`ArtifactKey`] (architecture hash + backend + the segment plan's
+/// circuit digest), so the pk cache shards naturally across segments and a
+/// repeat job skips keygen for every segment. Segment layout plans are not
+/// memoized: each segmented job runs its own per-segment sweeps.
 struct CacheKeySource<'a> {
     ctx: &'a WorkerCtx,
     /// Cache namespace: the graph's *architecture* hash, not the content

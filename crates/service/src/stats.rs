@@ -28,6 +28,7 @@ pub struct ServiceStats {
     worker_panics: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
+    layout_searches: AtomicU64,
     proofs_verified: AtomicU64,
     verify_failures: AtomicU64,
     queue_depth: AtomicU64,
@@ -70,6 +71,9 @@ impl ServiceStats {
     }
     pub(crate) fn record_cache_miss(&self) {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
+    }
+    pub(crate) fn record_layout_search(&self) {
+        self.layout_searches.fetch_add(1, Ordering::Relaxed);
     }
     pub(crate) fn record_verified(&self, ok: u64, failed: u64) {
         self.proofs_verified.fetch_add(ok, Ordering::Relaxed);
@@ -115,6 +119,7 @@ impl ServiceStats {
             } else {
                 0.0
             },
+            layout_searches: self.layout_searches.load(Ordering::Relaxed),
             proofs_verified: self.proofs_verified.load(Ordering::Relaxed),
             verify_failures: self.verify_failures.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
@@ -171,6 +176,9 @@ pub struct StatsSnapshot {
     pub cache_misses: u64,
     /// `hits / (hits + misses)`, 0 when the cache is untouched.
     pub cache_hit_rate: f64,
+    /// Layout-optimizer sweeps run: one per (architecture, backend) whose
+    /// plan was not yet memoized in the artifact cache.
+    pub layout_searches: u64,
     /// Proofs that passed (batched) verification.
     pub proofs_verified: u64,
     /// Proofs that failed verification.
@@ -197,6 +205,7 @@ impl StatsSnapshot {
                 "\"jobs_timed_out\":{},\"jobs_cancelled\":{},",
                 "\"worker_panics\":{},",
                 "\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.4},",
+                "\"layout_searches\":{},",
                 "\"proofs_verified\":{},\"verify_failures\":{},\"queue_depth\":{},",
                 "\"prove_p50_ms\":{},\"prove_p95_ms\":{}}}"
             ),
@@ -215,6 +224,7 @@ impl StatsSnapshot {
             self.cache_hits,
             self.cache_misses,
             self.cache_hit_rate,
+            self.layout_searches,
             self.proofs_verified,
             self.verify_failures,
             self.queue_depth,
@@ -251,6 +261,7 @@ mod tests {
         s.record_cache_miss();
         s.record_cache_hit();
         s.record_cache_hit();
+        s.record_layout_search();
         s.record_prove_latency_ms(10);
         s.record_prove_latency_ms(30);
         s.set_queue_depth(1);
@@ -260,6 +271,7 @@ mod tests {
         assert_eq!(snap.cache_hits, 2);
         assert_eq!(snap.cache_misses, 1);
         assert!((snap.cache_hit_rate - 2.0 / 3.0).abs() < 1e-9);
+        assert_eq!(snap.layout_searches, 1);
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.prove_p50_ms, 10);
         assert_eq!(snap.prove_p95_ms, 30);
@@ -295,6 +307,7 @@ mod tests {
             "jobs_submitted",
             "jobs_rejected_commitment",
             "cache_hit_rate",
+            "layout_searches",
             "prove_p50_ms",
             "prove_p95_ms",
             "queue_depth",

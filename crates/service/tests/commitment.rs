@@ -91,9 +91,11 @@ fn publish_then_prove_against_digest() {
     assert_eq!(snap.jobs_rejected_commitment, 0);
 }
 
-/// The artifact cache keys proving keys on the *architecture* hash, so two
-/// models differing only in weight values share one cached pk — keygen runs
-/// once and both proofs still verify (each against its own commitment).
+/// The artifact cache keys layout plans and proving keys on the
+/// *architecture* hash, so two models differing only in weight values share
+/// one memoized plan and one cached pk — the layout search and keygen each
+/// run once and both proofs still verify (each against its own
+/// commitment).
 #[test]
 fn same_architecture_shares_cached_proving_key() {
     let a = mlp(77);
@@ -130,6 +132,10 @@ fn same_architecture_shares_cached_proving_key() {
     assert_eq!(report.failed, 0);
     let snap = service.snapshot();
     assert_eq!(snap.cache_misses, 1, "exactly one keygen for both models");
+    assert_eq!(
+        snap.layout_searches, 1,
+        "one layout search for both weight sets of one architecture"
+    );
 }
 
 /// Soundness at the job boundary: a weight flipped after publication, an
@@ -250,8 +256,9 @@ fn tampered_weights_and_wrong_digests_are_rejected() {
 }
 
 /// The CI regression for weight-independent proving costs: after one
-/// publication, proving twice against the digest performs ZERO keygens and
-/// ZERO weight encodings — both were paid at publication. Ignored by
+/// publication, proving twice against the digest performs ZERO keygens,
+/// ZERO weight encodings and ZERO layout searches — all were paid at
+/// publication. Ignored by
 /// default because it reads process-global counters; `scripts/check.sh`
 /// runs it alone (`--ignored --test-threads=1`).
 #[test]
@@ -269,6 +276,7 @@ fn commit_once_prove_twice_zero_keygen_zero_reencode() {
 
     let keygens_before = zkml_plonk::keygens();
     let encodings_before = zkml_plonk::weight_encodings();
+    let searches_before = service.snapshot().layout_searches;
     for seed in [1, 2] {
         service
             .submit(JobSpec::prove_committed(
@@ -291,6 +299,11 @@ fn commit_once_prove_twice_zero_keygen_zero_reencode() {
         zkml_plonk::weight_encodings() - encodings_before,
         0,
         "proving against a published digest must not re-encode weights"
+    );
+    assert_eq!(
+        service.snapshot().layout_searches - searches_before,
+        0,
+        "proving against a published digest must not re-run the layout search"
     );
     let report = service.flush_verifications();
     assert_eq!(report.verified, 2);

@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use zkml::{compile, CircuitConfig, LayoutChoices};
+use zkml::{layers::lower_graph, place, synthesize, CircuitConfig, LayoutChoices};
 use zkml_model::{Activation, Graph, GraphBuilder, Op};
 use zkml_pcs::Backend;
 use zkml_service::{
@@ -175,18 +175,21 @@ fn mismatched_layout_never_reuses_cached_key() {
     let inputs = vec![Tensor::new(vec![1, 6], vec![0i64; 6])];
     let cfg_a = CircuitConfig::default_with(LayoutChoices::optimized());
     let cfg_b = CircuitConfig::default_with(LayoutChoices::prior_work());
-    let a = compile(&graph, &inputs, cfg_a).unwrap();
-    let b = compile(&graph, &inputs, cfg_b).unwrap();
+    let sched = lower_graph(&graph, &inputs, cfg_a.numeric);
+    let plan_a = place(&sched, cfg_a).unwrap();
+    let plan_b = place(&sched, cfg_b).unwrap();
+    let a = synthesize(&sched, &plan_a).unwrap();
+    let b = synthesize(&sched, &plan_b).unwrap();
 
-    // The digest is stable across recompilations of the same layout and
+    // The digest is stable across re-placements of the same layout and
     // distinguishes different layouts.
-    let a2 = compile(&graph, &inputs, cfg_a).unwrap();
-    assert_eq!(a.circuit_digest(), a2.circuit_digest());
-    assert_ne!(a.circuit_digest(), b.circuit_digest());
+    let plan_a2 = place(&sched, cfg_a).unwrap();
+    assert_eq!(plan_a.digest(), plan_a2.digest());
+    assert_ne!(plan_a.digest(), plan_b.digest());
 
     let hash = graph.arch_hash();
-    let key_a = ArtifactKey::for_circuit(hash, Backend::Kzg, &a);
-    let key_b = ArtifactKey::for_circuit(hash, Backend::Kzg, &b);
+    let key_a = ArtifactKey::for_plan(hash, Backend::Kzg, &plan_a);
+    let key_b = ArtifactKey::for_plan(hash, Backend::Kzg, &plan_b);
     assert_ne!(key_a, key_b);
     assert_ne!(
         key_a.file_stem(),

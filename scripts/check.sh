@@ -10,6 +10,9 @@ cargo build --workspace --release
 echo "==> cargo build --release (perfbench, its own workspace outside the one above)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench smoke (every workload once: proofs re-verify, outputs match, no keygen in window)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q (workspace, default ZKML_THREADS)"
 cargo test --workspace -q
 
@@ -97,8 +100,8 @@ else
   [ $? -eq 4 ] || { echo "commitment mismatch should map to exit code 4" >&2; exit 1; }
 fi
 # Counter regression: after one publication, proving twice against the digest
-# performs zero keygens and zero weight re-encodings (runs alone because it
-# reads process-global counters).
+# performs zero keygens, zero weight re-encodings and zero layout searches
+# (runs alone because it reads process-global counters).
 cargo test -p zkml-service --test commitment -q -- --ignored --test-threads=1
 
 echo "==> perf smoke (kernel + 4-thread ratios at small k vs PERF_THRESHOLDS.json)"
