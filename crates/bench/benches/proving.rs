@@ -8,6 +8,7 @@ use zkml::{compile, CircuitConfig, LayoutChoices};
 use zkml_bench::random_inputs;
 use zkml_model::{Activation, GraphBuilder, Op};
 use zkml_pcs::{Backend, Params};
+use zkml_plonk::verify_proof_committed;
 use zkml_tensor::FixedPoint;
 
 fn tiny_model() -> zkml_model::Graph {
@@ -36,18 +37,38 @@ fn bench_prove_verify(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(6);
     let params = Params::setup(Backend::Kzg, compiled.k, &mut rng);
     let pk = compiled.keygen(&params).expect("keygen");
-    let proof = compiled.prove(&params, &pk, &mut rng).expect("prove");
+    let (wc, weights) = compiled.commit_weights(&params).expect("commit weights");
+    let proof = compiled
+        .prove_with_weights(&params, &pk, &mut rng, &[], &weights)
+        .expect("prove");
 
     let mut group = c.benchmark_group("end_to_end");
     group.sample_size(10);
     group.bench_function("prove_tiny_mlp", |b| {
         b.iter(|| {
+            // Committing the weights inline, as an unpublished job does.
             let mut rng = StdRng::seed_from_u64(7);
-            std::hint::black_box(compiled.prove(&params, &pk, &mut rng).expect("prove"))
+            let (_, weights) = compiled.commit_weights(&params).expect("commit weights");
+            std::hint::black_box(
+                compiled
+                    .prove_with_weights(&params, &pk, &mut rng, &[], &weights)
+                    .expect("prove"),
+            )
         })
     });
     group.bench_function("verify_tiny_mlp", |b| {
-        b.iter(|| compiled.verify(&params, &pk.vk, &proof).expect("verify"))
+        b.iter(|| {
+            let v = verify_proof_committed(
+                &params,
+                &pk.vk,
+                compiled.instance(),
+                &proof,
+                &[],
+                Some(&wc),
+            )
+            .expect("verify");
+            assert!(v.settle(&params), "pairing check failed");
+        })
     });
     group.bench_function("compile_tiny_mlp", |b| {
         b.iter(|| std::hint::black_box(compile(&g, &inputs, cfg).expect("compile")).k)

@@ -23,7 +23,7 @@ use zkml_bench::scaling::{cores, msm_inputs, mul_chain, time_with_pool, write_be
 use zkml_curves::{msm, msm_jacobian};
 use zkml_ff::{Field, Fr};
 use zkml_pcs::{Backend, Params};
-use zkml_plonk::{create_proof_with_rng, keygen, ProvingKey};
+use zkml_plonk::{create_proof_committed, keygen, CommittedWeights, ProvingKey};
 use zkml_poly::EvaluationDomain;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -155,7 +155,9 @@ fn bench_prove(rows: &mut Vec<String>) {
             let pool = zkml_par::Pool::new(t);
             let (ms, proof) = time_with_pool(&pool, reps, || {
                 let mut rng = StdRng::seed_from_u64(424242);
-                create_proof_with_rng(&params, &pk, &c.witness, &mut rng).expect("prove")
+                let none = CommittedWeights::empty();
+                create_proof_committed(&params, &pk, &c.witness, &mut rng, &[], &none)
+                    .expect("prove")
             });
             match &expected {
                 None => expected = Some(proof),
@@ -194,7 +196,6 @@ impl zkml_shard::KeySource for CachedKeys {
     }
     fn proving_key(
         &self,
-        model_hash: [u8; 32],
         backend: Backend,
         plan: &zkml::LayoutPlan,
         compiled: &zkml::CompiledCircuit,
@@ -204,9 +205,7 @@ impl zkml_shard::KeySource for CachedKeys {
         if let Some(pk) = self.pks.lock().unwrap().get(&digest) {
             return Ok(Arc::clone(pk));
         }
-        let pk = self
-            .inner
-            .proving_key(model_hash, backend, plan, compiled, params)?;
+        let pk = self.inner.proving_key(backend, plan, compiled, params)?;
         self.pks.lock().unwrap().insert(digest, Arc::clone(&pk));
         Ok(pk)
     }
@@ -253,7 +252,10 @@ fn bench_segmented(rows: &mut Vec<String>) {
         let (keygen_ms, pk) = time_with_pool(&pool, 1, || mono.keygen(&params).expect("keygen"));
         let (prove_ms, _) = time_with_pool(&pool, 1, || {
             let mut rng = StdRng::seed_from_u64(9);
-            mono.prove(&params, &pk, &mut rng).expect("prove").len()
+            let (_, weights) = mono.commit_weights(&params).expect("commit weights");
+            mono.prove_with_weights(&params, &pk, &mut rng, &[], &weights)
+                .expect("prove")
+                .len()
         });
         let (seg_fresh_ms, _) = time_with_pool(&pool, 1, || {
             zkml_shard::prove_compiled(g.content_hash(), &segs, &fresh, &opts, 9)

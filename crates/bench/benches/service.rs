@@ -63,7 +63,14 @@ fn bench_cache(c: &mut Criterion) {
     let (pk, _) = warm_cache.get(&key).unwrap();
     group.bench_function("prove_warm", |b| {
         let mut rng = StdRng::seed_from_u64(7);
-        b.iter(|| std::hint::black_box(compiled.prove(&params, &pk, &mut rng).unwrap()))
+        b.iter(|| {
+            let (_, weights) = compiled.commit_weights(&params).unwrap();
+            std::hint::black_box(
+                compiled
+                    .prove_with_weights(&params, &pk, &mut rng, &[], &weights)
+                    .unwrap(),
+            )
+        })
     });
     group.finish();
 }

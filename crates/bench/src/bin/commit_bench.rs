@@ -64,7 +64,10 @@ fn main() {
         .expect("prove with published weights");
     let prove_published_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let _ = a.prove(&params, &pk_a, &mut rng).expect("prove inline");
+    let (_, inline) = a.commit_weights(&params).expect("commit weights inline");
+    let _ = a
+        .prove_with_weights(&params, &pk_a, &mut rng, &[], &inline)
+        .expect("prove inline");
     let prove_inline_s = t.elapsed().as_secs_f64();
 
     println!("{{");

@@ -60,9 +60,21 @@ fn run_model(g: &zkml_model::Graph, hw: &zkml::cost::HardwareStats) -> ModelResu
     let params = Params::setup(Backend::Kzg, compiled.k, &mut rng);
     let pk = compiled.keygen(&params).expect("keygen");
     let t = Instant::now();
-    let proof = compiled.prove(&params, &pk, &mut rng).expect("prove");
+    let (wc, weights) = compiled.commit_weights(&params).expect("commit weights");
+    let proof = compiled
+        .prove_with_weights(&params, &pk, &mut rng, &[], &weights)
+        .expect("prove");
     let measured_prove_s = t.elapsed().as_secs_f64();
-    compiled.verify(&params, &pk.vk, &proof).expect("verify");
+    let verified = zkml_plonk::verify_proof_committed(
+        &params,
+        &pk.vk,
+        compiled.instance(),
+        &proof,
+        &[],
+        Some(&wc),
+    )
+    .expect("verify");
+    assert!(verified.settle(&params), "pairing check failed");
 
     ModelResult {
         name: g.name.clone(),

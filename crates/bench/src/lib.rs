@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 use zkml::{compile, optimizer, CircuitConfig, LayoutChoices, OptimizerOptions};
 use zkml_model::Graph;
 use zkml_pcs::{Backend, Params};
+use zkml_plonk::verify_proof_committed;
 use zkml_tensor::{FixedPoint, Tensor};
 
 /// Measured end-to-end numbers for one model/backend pair.
@@ -78,15 +79,21 @@ pub fn measure(g: &Graph, cfg: CircuitConfig, backend: Backend, params: &Params)
         .keygen(params)
         .unwrap_or_else(|e| panic!("{}: keygen failed: {e}", g.name));
     let mut rng = StdRng::seed_from_u64(0xFACE);
+    // Proving time covers committing the weights, as a job without a
+    // published commitment pays it.
     let start = Instant::now();
+    let (wc, weights) = compiled
+        .commit_weights(params)
+        .unwrap_or_else(|e| panic!("{}: commit weights failed: {e}", g.name));
     let proof = compiled
-        .prove(params, &pk, &mut rng)
+        .prove_with_weights(params, &pk, &mut rng, &[], &weights)
         .unwrap_or_else(|e| panic!("{}: prove failed: {e}", g.name));
     let prove = start.elapsed();
     let start = Instant::now();
-    compiled
-        .verify(params, &pk.vk, &proof)
-        .unwrap_or_else(|e| panic!("{}: verify failed: {e}", g.name));
+    let verified =
+        verify_proof_committed(params, &pk.vk, compiled.instance(), &proof, &[], Some(&wc))
+            .unwrap_or_else(|e| panic!("{}: verify failed: {e}", g.name));
+    assert!(verified.settle(params), "{}: pairing check failed", g.name);
     let verify = start.elapsed();
     let _ = backend;
     EndToEnd {

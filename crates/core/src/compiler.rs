@@ -24,9 +24,8 @@ use zkml_ff::Fr;
 use zkml_model::Graph;
 use zkml_pcs::Params;
 use zkml_plonk::{
-    commit_weights, create_proof_bound, create_proof_committed, create_proof_with_rng, keygen,
-    verify_proof, verify_proof_committed, CommittedWeights, ConstraintSystem, PlonkError,
-    Preprocessed, ProvingKey, VerifyingKey, WeightCommitment, WitnessSource, BLINDING_FACTORS,
+    commit_weights, create_proof_committed, keygen, CommittedWeights, ConstraintSystem, PlonkError,
+    Preprocessed, ProvingKey, WeightCommitment, WitnessSource, BLINDING_FACTORS,
 };
 use zkml_tensor::Tensor;
 
@@ -452,44 +451,15 @@ impl CompiledCircuit {
         )?)
     }
 
-    /// Produces a proof for this circuit's witness. Committed circuits
-    /// encode and commit their weights inline; callers proving repeatedly
-    /// under one published commitment should use
-    /// [`CompiledCircuit::prove_with_weights`] instead.
-    pub fn prove(
-        &self,
-        params: &Params,
-        pk: &ProvingKey,
-        rng: &mut impl RngCore,
-    ) -> Result<Vec<u8>, ZkmlError> {
-        if self.has_committed() {
-            let (_, weights) = self.commit_weights(params)?;
-            return self.prove_with_weights(params, pk, rng, &[], &weights);
-        }
-        let witness = ZkmlWitness { c: self };
-        Ok(create_proof_with_rng(params, pk, &witness, rng)?)
-    }
-
-    /// Produces a proof bound to a context string (see
-    /// [`zkml_plonk::create_proof_bound`]). Segmented proving binds each
-    /// segment proof to the bundle's chain digest and position.
-    pub fn prove_bound(
-        &self,
-        params: &Params,
-        pk: &ProvingKey,
-        rng: &mut impl RngCore,
-        binding: &[u8],
-    ) -> Result<Vec<u8>, ZkmlError> {
-        if self.has_committed() {
-            let (_, weights) = self.commit_weights(params)?;
-            return self.prove_with_weights(params, pk, rng, binding, &weights);
-        }
-        let witness = ZkmlWitness { c: self };
-        Ok(create_proof_bound(params, pk, &witness, rng, binding)?)
-    }
-
-    /// Produces a proof reusing pre-encoded committed weights (the
-    /// commit-once/prove-many path: no weight re-encoding, no keygen).
+    /// Produces a proof — the only proving path. `weights` comes from
+    /// [`CompiledCircuit::commit_weights`] (or a registry holding a
+    /// published model's encodings), so proving many times under one
+    /// commitment re-encodes nothing and runs no keygen; circuits without
+    /// committed columns get an empty encoding from it. `binding` is
+    /// absorbed into the transcript (see
+    /// [`zkml_plonk::create_proof_committed`]); pass `&[]` for none.
+    /// Verify with [`zkml_plonk::verify_proof_committed`] against
+    /// [`CompiledCircuit::instance`] and the matching [`WeightCommitment`].
     pub fn prove_with_weights(
         &self,
         params: &Params,
@@ -502,43 +472,6 @@ impl CompiledCircuit {
         Ok(create_proof_committed(
             params, pk, &witness, rng, binding, weights,
         )?)
-    }
-
-    /// Verifies a proof against this circuit's public outputs. Committed
-    /// circuits recompute the weight commitment from the compiled values;
-    /// verifying against an externally *published* commitment is
-    /// [`CompiledCircuit::verify_with_commitment`].
-    pub fn verify(
-        &self,
-        params: &Params,
-        vk: &VerifyingKey,
-        proof: &[u8],
-    ) -> Result<(), ZkmlError> {
-        if self.has_committed() {
-            let (wc, _) = self.commit_weights(params)?;
-            return self.verify_with_commitment(params, vk, proof, &[], &wc);
-        }
-        Ok(verify_proof(params, vk, &self.instance, proof)?)
-    }
-
-    /// Verifies a proof against a published [`WeightCommitment`]: the
-    /// proof is valid only for the exact weights behind that commitment.
-    pub fn verify_with_commitment(
-        &self,
-        params: &Params,
-        vk: &VerifyingKey,
-        proof: &[u8],
-        binding: &[u8],
-        wc: &WeightCommitment,
-    ) -> Result<(), ZkmlError> {
-        let v = verify_proof_committed(params, vk, &self.instance, proof, binding, Some(wc))?;
-        if v.settle(params) {
-            Ok(())
-        } else {
-            Err(ZkmlError::Plonk(PlonkError::Verify(
-                "pairing check failed".into(),
-            )))
-        }
     }
 
     /// The public-input columns (model outputs as field elements).

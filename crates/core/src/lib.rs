@@ -25,8 +25,10 @@
 //!    skeleton) without a witness. The optimizer sweeps plans in parallel.
 //! 3. **Synthesis** ([`compiler::synthesize`]): the winning plan's
 //!    configuration drives one real replay that assigns the witness; the
-//!    result is cross-checked against the plan. Keys, proofs (KZG or IPA),
-//!    and verification hang off the resulting [`CompiledCircuit`].
+//!    result is cross-checked against the plan. Keys, the weight
+//!    commitment and proofs (KZG or IPA) hang off the resulting
+//!    [`CompiledCircuit`]; proofs verify through
+//!    [`zkml_plonk::verify_proof_committed`].
 
 pub mod builder;
 pub mod compiler;

@@ -3,6 +3,9 @@
 //! a proof verifies only against the exact weight commitment it was proved
 //! under — flipping a single weight after publication is caught.
 
+mod common;
+
+use common::verify;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use zkml::{compile, CircuitConfig, LayoutChoices};
@@ -92,12 +95,11 @@ fn proving_key_is_weight_independent_and_commitment_binds_the_proof() {
     let proof_a = a
         .prove_with_weights(&params, &pk, &mut rng, &[], &weights_a)
         .unwrap();
-    a.verify_with_commitment(&params, &pk.vk, &proof_a, &[], &wc_a)
+    verify(&params, &pk.vk, a.instance(), &proof_a, &wc_a)
         .expect("honest proof verifies against its own commitment");
     // The same proof against the tampered commitment must be rejected.
     assert!(
-        a.verify_with_commitment(&params, &pk.vk, &proof_a, &[], &wc_b)
-            .is_err(),
+        verify(&params, &pk.vk, a.instance(), &proof_a, &wc_b).is_err(),
         "a proof must not verify against a different weight commitment"
     );
 
@@ -106,11 +108,10 @@ fn proving_key_is_weight_independent_and_commitment_binds_the_proof() {
     let proof_b = b
         .prove_with_weights(&params, &pk, &mut rng, &[], &weights_b)
         .unwrap();
-    b.verify_with_commitment(&params, &pk.vk, &proof_b, &[], &wc_b)
+    verify(&params, &pk.vk, b.instance(), &proof_b, &wc_b)
         .expect("the shared pk proves the tampered weight set too");
     assert!(
-        b.verify_with_commitment(&params, &pk.vk, &proof_b, &[], &wc_a)
-            .is_err(),
+        verify(&params, &pk.vk, b.instance(), &proof_b, &wc_a).is_err(),
         "the tampered proof must not pass as the published model"
     );
 }

@@ -2,6 +2,9 @@
 //! plus cross-checks between the circuit witness and the fixed-point
 //! reference executor.
 
+mod common;
+
+use common::{prove, verify};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use zkml::{compile, CircuitConfig, LayoutChoices, MatmulImpl, ReluImpl};
@@ -92,8 +95,8 @@ fn prove_and_verify_kzg() {
     let mut rng = StdRng::seed_from_u64(42);
     let params = Params::setup(Backend::Kzg, compiled.k.max(13), &mut rng);
     let pk = compiled.keygen(&params).unwrap();
-    let proof = compiled.prove(&params, &pk, &mut rng).unwrap();
-    compiled.verify(&params, &pk.vk, &proof).unwrap();
+    let (proof, wc) = prove(&compiled, &params, &pk, &mut rng).unwrap();
+    verify(&params, &pk.vk, compiled.instance(), &proof, &wc).unwrap();
     assert!(!proof.is_empty());
 }
 
@@ -110,8 +113,8 @@ fn prove_and_verify_ipa() {
     let mut rng = StdRng::seed_from_u64(43);
     let params = Params::setup(Backend::Ipa, compiled.k, &mut rng);
     let pk = compiled.keygen(&params).unwrap();
-    let proof = compiled.prove(&params, &pk, &mut rng).unwrap();
-    compiled.verify(&params, &pk.vk, &proof).unwrap();
+    let (proof, wc) = prove(&compiled, &params, &pk, &mut rng).unwrap();
+    verify(&params, &pk.vk, compiled.instance(), &proof, &wc).unwrap();
 }
 
 #[test]
@@ -126,9 +129,8 @@ fn freivalds_and_direct_prove_identical_statements() {
         choices.matmul = matmul;
         let compiled = compile(&g, &inputs, cfg(choices)).unwrap();
         let pk = compiled.keygen(&params).unwrap();
-        let proof = compiled.prove(&params, &pk, &mut rng).unwrap();
-        compiled
-            .verify(&params, &pk.vk, &proof)
+        let (proof, wc) = prove(&compiled, &params, &pk, &mut rng).unwrap();
+        verify(&params, &pk.vk, compiled.instance(), &proof, &wc)
             .unwrap_or_else(|e| panic!("{matmul:?}: {e}"));
     }
 }
@@ -143,12 +145,12 @@ fn wrong_output_claim_rejected() {
     let mut rng = StdRng::seed_from_u64(45);
     let params = Params::setup(Backend::Kzg, compiled.k.max(13), &mut rng);
     let pk = compiled.keygen(&params).unwrap();
-    let proof = compiled.prove(&params, &pk, &mut rng).unwrap();
+    let (proof, wc) = prove(&compiled, &params, &pk, &mut rng).unwrap();
     // Claiming different public outputs must fail.
     let mut bad_instance = compiled.instance()[0].clone();
     bad_instance[0] += Fr::one();
     assert!(
-        zkml_plonk::verify_proof(&params, &pk.vk, &[bad_instance], &proof).is_err(),
+        verify(&params, &pk.vk, &[bad_instance], &proof, &wc).is_err(),
         "forged output accepted"
     );
 }
@@ -168,8 +170,8 @@ fn relu_bit_decomposition_proves() {
     let mut rng = StdRng::seed_from_u64(46);
     let params = Params::setup(Backend::Kzg, compiled.k, &mut rng);
     let pk = compiled.keygen(&params).unwrap();
-    let proof = compiled.prove(&params, &pk, &mut rng).unwrap();
-    compiled.verify(&params, &pk.vk, &proof).unwrap();
+    let (proof, wc) = prove(&compiled, &params, &pk, &mut rng).unwrap();
+    verify(&params, &pk.vk, compiled.instance(), &proof, &wc).unwrap();
 }
 
 #[test]
@@ -205,8 +207,8 @@ fn mnist_cnn_proves_and_verifies() {
     let mut rng = StdRng::seed_from_u64(47);
     let params = Params::setup(Backend::Kzg, compiled.k, &mut rng);
     let pk = compiled.keygen(&params).unwrap();
-    let proof = compiled.prove(&params, &pk, &mut rng).unwrap();
-    compiled.verify(&params, &pk.vk, &proof).unwrap();
+    let (proof, wc) = prove(&compiled, &params, &pk, &mut rng).unwrap();
+    verify(&params, &pk.vk, compiled.instance(), &proof, &wc).unwrap();
     eprintln!(
         "MNIST: k={}, rows={}, advice={}, lookups={}, proof={}B",
         compiled.k,

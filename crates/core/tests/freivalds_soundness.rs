@@ -2,13 +2,15 @@
 //! forged outputs on a Freivalds-compiled model must be rejected, and the
 //! phase-1 machinery must be exercised (challenge-dependent witness).
 
+mod common;
+
+use common::{prove, verify};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkml::{compile, CircuitConfig, LayoutChoices, MatmulImpl};
 use zkml_ff::Fr;
 use zkml_model::{Activation, GraphBuilder, Op};
 use zkml_pcs::{Backend, Params};
-use zkml_plonk::verify_proof;
 use zkml_tensor::{FixedPoint, Tensor};
 
 fn fc_model() -> zkml_model::Graph {
@@ -42,15 +44,15 @@ fn forged_output_on_freivalds_model_rejected() {
     let mut rng = StdRng::seed_from_u64(9);
     let params = Params::setup(Backend::Kzg, compiled.k, &mut rng);
     let pk = compiled.keygen(&params).unwrap();
-    let proof = compiled.prove(&params, &pk, &mut rng).unwrap();
-    compiled.verify(&params, &pk.vk, &proof).unwrap();
+    let (proof, wc) = prove(&compiled, &params, &pk, &mut rng).unwrap();
+    verify(&params, &pk.vk, compiled.instance(), &proof, &wc).unwrap();
 
     // Forge each of the first few output positions; all must be rejected.
     for i in 0..compiled.instance()[0].len().min(3) {
         let mut forged = compiled.instance()[0].clone();
         forged[i] += Fr::ONE;
         assert!(
-            verify_proof(&params, &pk.vk, &[forged], &proof).is_err(),
+            verify(&params, &pk.vk, &[forged], &proof, &wc).is_err(),
             "forged output {i} accepted"
         );
     }
@@ -72,10 +74,10 @@ fn proofs_differ_per_input_but_share_keys() {
     // Circuit structure is input-independent: same keys.
     assert_eq!(pk1.vk.digest, pk2.vk.digest);
     // Proofs for different inputs verify only against their own outputs.
-    let p1 = c1.prove(&params, &pk1, &mut rng).unwrap();
-    let p2 = c2.prove(&params, &pk2, &mut rng).unwrap();
-    c1.verify(&params, &pk1.vk, &p1).unwrap();
-    c2.verify(&params, &pk1.vk, &p2).unwrap();
-    assert!(c1.verify(&params, &pk1.vk, &p2).is_err());
-    assert!(c2.verify(&params, &pk1.vk, &p1).is_err());
+    let (p1, wc1) = prove(&c1, &params, &pk1, &mut rng).unwrap();
+    let (p2, wc2) = prove(&c2, &params, &pk2, &mut rng).unwrap();
+    verify(&params, &pk1.vk, c1.instance(), &p1, &wc1).unwrap();
+    verify(&params, &pk1.vk, c2.instance(), &p2, &wc2).unwrap();
+    assert!(verify(&params, &pk1.vk, c1.instance(), &p2, &wc1).is_err());
+    assert!(verify(&params, &pk1.vk, c2.instance(), &p1, &wc2).is_err());
 }

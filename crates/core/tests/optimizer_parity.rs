@@ -4,6 +4,9 @@
 //! plan synthesizes into a circuit that satisfies the constraint checker
 //! and a real KZG prove/verify round-trip.
 
+mod common;
+
+use common::{prove, verify};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -119,6 +122,6 @@ fn winning_plan_synthesizes_and_proves() {
     let mut rng = StdRng::seed_from_u64(17);
     let params = Params::setup(Backend::Kzg, compiled.k, &mut rng);
     let pk = compiled.keygen(&params).expect("keygen");
-    let proof = compiled.prove(&params, &pk, &mut rng).expect("prove");
-    compiled.verify(&params, &pk.vk, &proof).expect("verify");
+    let (proof, wc) = prove(&compiled, &params, &pk, &mut rng).expect("prove");
+    verify(&params, &pk.vk, compiled.instance(), &proof, &wc).expect("verify");
 }

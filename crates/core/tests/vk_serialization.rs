@@ -35,14 +35,16 @@ fn proof_verifies_against_deserialized_vk() {
     let mut rng = StdRng::seed_from_u64(3);
     let params = Params::setup(Backend::Kzg, compiled.k, &mut rng);
     let pk = compiled.keygen(&params).unwrap();
-    let proof = compiled.prove(&params, &pk, &mut rng).unwrap();
+    let (wc, weights) = compiled.commit_weights(&params).unwrap();
+    let proof = compiled
+        .prove_with_weights(&params, &pk, &mut rng, &[], &weights)
+        .unwrap();
 
     let bytes = pk.vk.to_bytes();
     let vk2 = VerifyingKey::from_bytes(&bytes).expect("vk roundtrip");
     assert_eq!(vk2.digest, pk.vk.digest);
     // Weights lower into committed columns, so the standalone verifier needs
     // the (deterministic) weight commitment alongside the deserialized vk.
-    let (wc, _weights) = compiled.commit_weights(&params).unwrap();
     let verification = zkml_plonk::verify_proof_committed(
         &params,
         &vk2,
@@ -74,7 +76,10 @@ fn wrong_models_key_rejects_proof() {
     let pk1 = c1.keygen(&params).unwrap();
     let pk2 = c2.keygen(&params).unwrap();
     assert_ne!(pk1.vk.digest, pk2.vk.digest);
-    let proof = c1.prove(&params, &pk1, &mut rng).unwrap();
+    let (_, weights1) = c1.commit_weights(&params).unwrap();
+    let proof = c1
+        .prove_with_weights(&params, &pk1, &mut rng, &[], &weights1)
+        .unwrap();
     // Verifying a g1 proof under g2's key (and g2's weight commitment) must
     // fail (different circuit and instance length).
     let (wc2, _) = c2.commit_weights(&params).unwrap();

@@ -386,39 +386,32 @@ fn prove_flow(
         .keygen(&params)
         .map_err(|e| CliError::Msg(format!("keygen: {e}")))?;
     let t = Instant::now();
-    // Committed-weight circuits: commit once, check the digest against a
-    // published one when `--model` names it, and prove under the committed
-    // encodings. The commitment rides along as `commitment.bin` — a
-    // committed proof is unverifiable without it.
-    let mut commitment: Option<WeightCommitment> = None;
-    let proof = if compiled.has_committed() {
-        let (wc, weights) = compiled
-            .commit_weights(&params)
-            .map_err(|e| CliError::Msg(format!("commit weights: {e}")))?;
-        if let Some(expected) = model {
-            if wc.digest != expected {
-                return Err(CliError::Commitment(format!(
-                    "weights of {} hash to {}, not the published {}",
-                    g.name,
-                    encode_hex(&wc.digest),
-                    encode_hex(&expected)
-                )));
-            }
-            println!(
-                "weights match published model digest {}",
+    // Commit the weight plane once (empty for a weight-free circuit), check
+    // the digest against a published one when `--model` names it, and
+    // prove under the committed encodings. A weight-bearing circuit's
+    // commitment rides along as `commitment.bin` — its proof is
+    // unverifiable without it.
+    let (wc, weights) = compiled
+        .commit_weights(&params)
+        .map_err(|e| CliError::Msg(format!("commit weights: {e}")))?;
+    if let Some(expected) = model {
+        if wc.digest != expected {
+            return Err(CliError::Commitment(format!(
+                "weights of {} hash to {}, not the published {}",
+                g.name,
+                encode_hex(&wc.digest),
                 encode_hex(&expected)
-            );
+            )));
         }
-        let proof = compiled
-            .prove_with_weights(&params, &pk, &mut rng, &[], &weights)
-            .map_err(|e| CliError::Msg(format!("prove: {e}")))?;
-        commitment = Some(wc);
-        proof
-    } else {
-        compiled
-            .prove(&params, &pk, &mut rng)
-            .map_err(|e| CliError::Msg(format!("prove: {e}")))?
-    };
+        println!(
+            "weights match published model digest {}",
+            encode_hex(&expected)
+        );
+    }
+    let proof = compiled
+        .prove_with_weights(&params, &pk, &mut rng, &[], &weights)
+        .map_err(|e| CliError::Msg(format!("prove: {e}")))?;
+    let commitment = compiled.has_committed().then_some(wc);
     println!("proved in {:?} ({} bytes)", t.elapsed(), proof.len());
 
     let public = compiled

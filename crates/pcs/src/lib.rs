@@ -96,25 +96,13 @@ impl Params {
         }
     }
 
-    /// Verifies a batched opening against `(commitment, point, eval)` claims.
-    pub fn verify(
-        &self,
-        transcript: &mut Transcript,
-        queries: &[(G1Affine, Fr, Fr)],
-        proof: &[u8],
-    ) -> Result<(), ReadError> {
-        match self {
-            Params::Kzg(s) => s.verify(transcript, queries, proof),
-            Params::Ipa(p) => p.verify(transcript, queries, proof),
-        }
-    }
-
-    /// Like [`Params::verify`], but defers the expensive final check when
-    /// the backend supports it.
+    /// Verifies a batched opening against `(commitment, point, eval)`
+    /// claims, deferring the expensive final check when the backend
+    /// supports it.
     ///
     /// KZG runs everything up to (not including) the pairing check and
     /// returns [`Verification::Deferred`]; the caller settles one proof with
-    /// [`Verification::settle`] or a whole batch with [`batch_check`]. IPA
+    /// [`Verification::settle`] or a whole batch with [`settle_all`]. IPA
     /// has no such accumulator and verifies completely.
     pub fn verify_deferred(
         &self,
@@ -154,12 +142,121 @@ impl Verification {
             (Verification::Deferred(_), Params::Ipa(_)) => false,
         }
     }
+}
 
-    /// The pending accumulator, if any.
-    pub fn accumulator(&self) -> Option<&KzgAccumulator> {
-        match self {
-            Verification::Complete => None,
-            Verification::Deferred(acc) => Some(acc),
+/// Settles many verifications at once, each against the params it came
+/// from.
+///
+/// Every deferred KZG accumulator whose SRS shares the first one's toxic
+/// scalar (`tau_g2`) is folded into **one** multi-pairing through
+/// [`batch_check`]; with the deterministic setup every `k` shares one tau,
+/// so that is all of them. The rest — accumulators from a foreign setup, or
+/// paired with IPA params — are settled one by one, and
+/// [`Verification::Complete`] items pass as they are.
+///
+/// Returns the number of accumulators the multi-pairing settled, or the
+/// (ascending) indices of the items that failed. Only a failed fold pays
+/// for per-item pairings, to attribute the failure.
+pub fn settle_all(items: &[(Verification, &Params)]) -> Result<usize, Vec<usize>> {
+    let mut tau_srs: Option<&KzgSrs> = None;
+    let mut folded = Vec::new();
+    let mut accs: Vec<KzgAccumulator> = Vec::new();
+    let mut failed = Vec::new();
+    for (i, (v, params)) in items.iter().enumerate() {
+        match (v, params) {
+            (Verification::Complete, _) => {}
+            (Verification::Deferred(acc), Params::Kzg(s))
+                if tau_srs.is_none_or(|first| first.tau_g2 == s.tau_g2) =>
+            {
+                tau_srs.get_or_insert(s);
+                folded.push(i);
+                accs.push(acc.clone());
+            }
+            _ if v.settle(params) => {}
+            _ => failed.push(i),
         }
+    }
+    if let Some(srs) = tau_srs {
+        if !batch_check(srs, &accs) {
+            failed.extend(
+                folded
+                    .iter()
+                    .zip(&accs)
+                    .filter(|(_, acc)| !acc.check(srs))
+                    .map(|(i, _)| *i),
+            );
+            failed.sort_unstable();
+        }
+    }
+    if failed.is_empty() {
+        Ok(accs.len())
+    } else {
+        Err(failed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use zkml_curves::G1Projective;
+    use zkml_ff::Field;
+
+    /// A valid single-point KZG opening, prepared but not settled.
+    fn prepared_opening(srs: &KzgSrs, seed: u64) -> KzgAccumulator {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p = Coeffs::new((0..20).map(|_| Fr::random(&mut rng)).collect());
+        let z = Fr::random(&mut rng);
+        let v = p.evaluate(z);
+        let c = srs.commit(&p);
+        let proof = srs.open(&mut Transcript::new(b"test"), &[(&p, z)]);
+        srs.prepare(&mut Transcript::new(b"test"), &[(c, z, v)], &proof)
+            .unwrap()
+    }
+
+    #[test]
+    fn settle_all_batches_valid_items_and_reports_only_the_forged_one() {
+        let kzg = Params::Kzg(KzgSrs::setup(5, &mut StdRng::seed_from_u64(7)));
+        let ipa = Params::Ipa(IpaParams::setup(5));
+        let Params::Kzg(srs) = &kzg else {
+            unreachable!()
+        };
+        let mut items: Vec<(Verification, &Params)> = (0..4)
+            .map(|i| (Verification::Deferred(prepared_opening(srs, i)), &kzg))
+            .collect();
+        items.insert(2, (Verification::Complete, &ipa));
+        assert_eq!(settle_all(&items), Ok(4), "every accumulator folds");
+        assert_eq!(settle_all(&[(Verification::Complete, &ipa)]), Ok(0));
+        assert_eq!(settle_all(&[]), Ok(0));
+
+        // Offsetting `lhs` by the generator breaks exactly one pairing.
+        let Verification::Deferred(acc) = &mut items[3].0 else {
+            unreachable!()
+        };
+        acc.lhs += G1Projective::generator();
+        assert_eq!(settle_all(&items), Err(vec![3]));
+    }
+
+    #[test]
+    fn settle_all_settles_foreign_setups_one_by_one() {
+        let kzg = Params::Kzg(KzgSrs::setup(5, &mut StdRng::seed_from_u64(7)));
+        let other = Params::Kzg(KzgSrs::setup(5, &mut StdRng::seed_from_u64(8)));
+        let ipa = Params::Ipa(IpaParams::setup(5));
+        let (Params::Kzg(srs), Params::Kzg(other_srs)) = (&kzg, &other) else {
+            unreachable!()
+        };
+        let items = [
+            (Verification::Deferred(prepared_opening(srs, 1)), &kzg),
+            (
+                Verification::Deferred(prepared_opening(other_srs, 2)),
+                &other,
+            ),
+            (Verification::Deferred(prepared_opening(srs, 3)), &kzg),
+        ];
+        assert_eq!(settle_all(&items), Ok(2), "the foreign tau is not folded");
+        // A deferred accumulator cannot be settled by IPA params.
+        let mismatched = [(Verification::Deferred(prepared_opening(srs, 4)), &ipa)];
+        assert_eq!(settle_all(&mismatched), Err(vec![0]));
     }
 }

@@ -16,6 +16,13 @@
 //! The FFT/MSM counts of this prover follow Eq. (1)–(2) of the paper, which
 //! is what makes the ZKML cost model (crate `zkml`, module `cost`)
 //! transferable.
+//!
+//! One function per step: [`keygen()`] builds the keys, [`commit_weights`]
+//! commits a model's weight columns once, [`create_proof_committed`] is the
+//! only prover (weight-free circuits pass [`CommittedWeights::empty`]) and
+//! [`verify_proof_committed`] the only verifier. Its KZG result defers the
+//! pairing: settle it with [`zkml_pcs::Verification::settle`], or many at
+//! once with [`zkml_pcs::settle_all`].
 
 pub mod circuit;
 pub mod expression;
@@ -35,8 +42,8 @@ pub use keygen::{
     ProvingKey, VerifyingKey, WeightCommitment,
 };
 pub use mock::{GridWitness, MockProver, VerifyFailure};
-pub use prover::{create_proof, create_proof_bound, create_proof_committed, create_proof_with_rng};
-pub use verifier::{verify_proof, verify_proof_committed, verify_proof_deferred};
+pub use prover::create_proof_committed;
+pub use verifier::verify_proof_committed;
 
 /// Errors produced by key generation, proving, or verification.
 #[derive(Debug)]

@@ -61,65 +61,23 @@ fn eval_on_row(
     e.evaluate_on_grid(i, n, instance, advice, fixed, challenges)
 }
 
-/// Creates a proof for the given witness, using OS randomness for blinding.
-pub fn create_proof(
-    params: &Params,
-    pk: &ProvingKey,
-    witness: &dyn WitnessSource,
-) -> Result<Vec<u8>, PlonkError> {
-    create_proof_with_rng(params, pk, witness, &mut rand::rngs::OsRng)
-}
-
-/// Creates a proof with caller-supplied randomness (deterministic tests).
-pub fn create_proof_with_rng(
-    params: &Params,
-    pk: &ProvingKey,
-    witness: &dyn WitnessSource,
-    rng: &mut impl RngCore,
-) -> Result<Vec<u8>, PlonkError> {
-    create_proof_bound(params, pk, witness, rng, &[])
-}
-
-/// Creates a proof bound to an application-chosen context string.
-///
-/// The binding is absorbed into the Fiat–Shamir transcript right after the
-/// verifying-key digest, so the proof only verifies against the same bytes
-/// (see [`crate::verify_proof_deferred`]). Segmented proving uses this to
-/// pin each segment proof to its chain digest and position, making segments
-/// non-interchangeable across bundles. An empty binding absorbs nothing and
-/// is byte-identical to [`create_proof_with_rng`].
-pub fn create_proof_bound(
-    params: &Params,
-    pk: &ProvingKey,
-    witness: &dyn WitnessSource,
-    rng: &mut impl RngCore,
-    binding: &[u8],
-) -> Result<Vec<u8>, PlonkError> {
-    if pk.vk.cs.num_committed > 0 {
-        return Err(PlonkError::Synthesis(
-            "circuit has committed columns; use create_proof_committed with \
-             the model's CommittedWeights"
-                .into(),
-        ));
-    }
-    create_proof_committed(
-        params,
-        pk,
-        witness,
-        rng,
-        binding,
-        &CommittedWeights::empty(),
-    )
-}
-
-/// Creates a proof for a circuit with committed (weight) columns.
+/// Creates a proof — the prover's one entry point.
 ///
 /// `weights` is the prover side of a [`crate::keygen::WeightCommitment`]
-/// produced once per model by [`crate::keygen::commit_weights`]; its digest
-/// is absorbed into the transcript right after the verifying-key digest, so
-/// the proof verifies only against that exact published commitment. No
-/// weight interpolation or commitment work happens here — the per-proof
-/// weight cost is a handful of polynomial evaluations.
+/// produced once per model by [`crate::keygen::commit_weights`]; circuits
+/// without committed columns pass [`CommittedWeights::empty`]. When the
+/// circuit has committed columns their digest is absorbed into the
+/// transcript right after the verifying-key digest, so the proof verifies
+/// only against that exact published commitment. No weight interpolation
+/// or commitment work happens here — the per-proof weight cost is a
+/// handful of polynomial evaluations.
+///
+/// `binding` is an application-chosen context string absorbed next (an
+/// empty binding absorbs nothing), so the proof only verifies against the
+/// same bytes (see [`crate::verify_proof_committed`]). Segmented proving
+/// uses it to pin each segment proof to its chain digest and position,
+/// making segments non-interchangeable across bundles. `rng` supplies the
+/// blinding randomness.
 pub fn create_proof_committed(
     params: &Params,
     pk: &ProvingKey,

@@ -10,58 +10,24 @@ use zkml_pcs::{Params, Reader, Verification};
 use zkml_poly::{Coeffs, EvaluationDomain};
 use zkml_transcript::Transcript;
 
-/// Verifies a proof against public inputs.
-pub fn verify_proof(
-    params: &Params,
-    vk: &VerifyingKey,
-    instance: &[Vec<Fr>],
-    proof: &[u8],
-) -> Result<(), PlonkError> {
-    let v = verify_proof_deferred(params, vk, instance, proof, &[])?;
-    if v.settle(params) {
-        Ok(())
-    } else {
-        Err(PlonkError::Verify(
-            "opening verification failed: KZG pairing check failed".into(),
-        ))
-    }
-}
-
-/// Verifies a proof bound to a context string, deferring the backend's
-/// final check when possible.
+/// Verifies a proof — the verifier's one entry point — deferring the
+/// backend's final check.
 ///
-/// Mirrors the prover's [`crate::create_proof_bound`]: the binding is
-/// absorbed right after the verifying-key digest (nothing is absorbed when
-/// empty), so a proof created under one binding fails under any other. On
-/// the KZG backend the returned [`Verification`] carries the pending
-/// pairing inputs; callers batch many of them through
-/// [`zkml_pcs::batch_check`] to settle a whole proof bundle with one
-/// multi-pairing. IPA verifies completely.
-pub fn verify_proof_deferred(
-    params: &Params,
-    vk: &VerifyingKey,
-    instance: &[Vec<Fr>],
-    proof: &[u8],
-    binding: &[u8],
-) -> Result<Verification, PlonkError> {
-    if vk.cs.num_committed > 0 {
-        return Err(PlonkError::Verify(
-            "circuit has committed columns; use verify_proof_committed with \
-             the published WeightCommitment"
-                .into(),
-        ));
-    }
-    verify_proof_committed(params, vk, instance, proof, binding, None)
-}
-
-/// Verifies a proof for a circuit with committed (weight) columns against a
-/// *published* [`WeightCommitment`], deferring the backend's final check.
+/// Mirrors [`crate::prover::create_proof_committed`]. For a circuit with
+/// committed (weight) columns, `weights` must be the *published*
+/// [`WeightCommitment`]: its digest is absorbed right after the
+/// verifying-key digest, so a proof created under one weight commitment
+/// fails under any other — tampering with a single weight after
+/// publication changes the column commitment, the digest, and therefore
+/// every Fiat–Shamir challenge. Circuits without committed columns pass
+/// `None` or the zero-column commitment [`crate::commit_weights`] returns
+/// for them; neither absorbs anything. `binding` must equal the prover's
+/// (nothing is absorbed when empty).
 ///
-/// Mirrors [`crate::prover::create_proof_committed`]: the commitment digest
-/// is absorbed right after the verifying-key digest, so a proof created
-/// under one weight commitment fails under any other — tampering with a
-/// single weight after publication changes the column commitment, the
-/// digest, and therefore every Fiat–Shamir challenge.
+/// On the KZG backend the returned [`Verification`] carries the pending
+/// pairing inputs: settle one with [`Verification::settle`], or many at
+/// once with [`zkml_pcs::settle_all`] (one multi-pairing for a whole
+/// bundle or batch). IPA verifies completely.
 pub fn verify_proof_committed(
     params: &Params,
     vk: &VerifyingKey,
@@ -116,7 +82,9 @@ pub fn verify_proof_committed(
 
     let mut transcript = Transcript::new(b"zkml-plonk");
     transcript.absorb(b"vk", &vk.digest);
-    if let Some(wc) = wc {
+    // Absorbed exactly when the prover absorbs it: a zero-column
+    // commitment binds nothing.
+    if let Some(wc) = wc.filter(|_| cs.num_committed > 0) {
         transcript.absorb(b"weights", &wc.digest);
     }
     if !binding.is_empty() {

@@ -2,13 +2,16 @@
 //! gates, copy constraints, public inputs, lookups, multi-phase challenges,
 //! and both commitment backends.
 
+mod common;
+
+use common::{prove_unweighted, verify_settled};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkml_ff::{Field, Fr, PrimeField};
 use zkml_pcs::{Backend, Params};
 use zkml_plonk::{
-    create_proof_with_rng, keygen, verify_proof, CellRef, Column, ConstraintSystem, Expression,
-    Preprocessed, Rotation, WitnessSource,
+    commit_weights, create_proof_committed, keygen, verify_proof_committed, CellRef, Column,
+    ConstraintSystem, Expression, Preprocessed, Rotation, WeightCommitment, WitnessSource,
 };
 
 fn params(backend: Backend, k: u32) -> Params {
@@ -126,8 +129,8 @@ fn mul_chain_proves_and_verifies_kzg() {
     let params = params(Backend::Kzg, 6);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
-    verify_proof(&params, &pk.vk, &instance, &proof).unwrap();
+    let proof = prove_unweighted(&params, &pk, &witness, &mut rng).unwrap();
+    verify_settled(&params, &pk.vk, &instance, &proof).unwrap();
 }
 
 #[test]
@@ -136,8 +139,46 @@ fn mul_chain_proves_and_verifies_ipa() {
     let params = params(Backend::Ipa, 5);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
-    verify_proof(&params, &pk.vk, &instance, &proof).unwrap();
+    let proof = prove_unweighted(&params, &pk, &witness, &mut rng).unwrap();
+    verify_settled(&params, &pk.vk, &instance, &proof).unwrap();
+}
+
+/// A circuit without weights verifies against the zero-column commitment
+/// `commit_weights` returns for it exactly as against `None`: the verifier
+/// absorbs the weights digest only when the prover does.
+#[test]
+fn weight_free_circuit_verifies_against_its_empty_commitment() {
+    let (cs, pre, witness, instance) = mul_chain_setup();
+    for (backend, k) in [(Backend::Kzg, 6), (Backend::Ipa, 5)] {
+        let params = params(backend, k);
+        let pk = keygen(&params, &cs, &pre, 5).unwrap();
+        let (wc, weights) = commit_weights(&params, &cs, &pre.committed, 5).unwrap();
+        assert!(wc.commitments.is_empty());
+        let mut rng = StdRng::seed_from_u64(7);
+        let proof =
+            create_proof_committed(&params, &pk, &witness, &mut rng, &[], &weights).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        let plain = prove_unweighted(&params, &pk, &witness, &mut rng).unwrap();
+        assert_eq!(proof, plain, "{backend}: empty weights change nothing");
+        for weights in [None, Some(&wc)] {
+            let v = verify_proof_committed(&params, &pk.vk, &instance, &proof, &[], weights)
+                .unwrap_or_else(|e| panic!("{backend}: {e}"));
+            assert!(v.settle(&params), "{backend}: pairing check failed");
+        }
+
+        // A commitment naming columns the circuit lacks is still refused.
+        let commitments = vec![pk.vk.fixed_commitments[0]];
+        let digest = WeightCommitment::compute_digest(5, &commitments);
+        let foreign = WeightCommitment {
+            k: 5,
+            commitments,
+            digest,
+        };
+        assert!(
+            verify_proof_committed(&params, &pk.vk, &instance, &proof, &[], Some(&foreign))
+                .is_err()
+        );
+    }
 }
 
 #[test]
@@ -146,9 +187,9 @@ fn wrong_public_input_rejected() {
     let params = params(Backend::Kzg, 6);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
+    let proof = prove_unweighted(&params, &pk, &witness, &mut rng).unwrap();
     let bad = vec![vec![instance[0][0] + Fr::one()]];
-    assert!(verify_proof(&params, &pk.vk, &bad, &proof).is_err());
+    assert!(verify_settled(&params, &pk.vk, &bad, &proof).is_err());
 }
 
 #[test]
@@ -157,14 +198,14 @@ fn tampered_proof_rejected() {
     let params = params(Backend::Kzg, 6);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
+    let proof = prove_unweighted(&params, &pk, &witness, &mut rng).unwrap();
     // Flip one byte in each third of the proof; all must fail (either parse
     // or verification error).
     for pos in [10, proof.len() / 2, proof.len() - 10] {
         let mut bad = proof.clone();
         bad[pos] ^= 0x01;
         assert!(
-            verify_proof(&params, &pk.vk, &instance, &bad).is_err(),
+            verify_settled(&params, &pk.vk, &instance, &bad).is_err(),
             "tampering at {pos} was accepted"
         );
     }
@@ -179,7 +220,7 @@ fn invalid_witness_fails_to_prove() {
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
     // The prover detects the unsatisfied permutation.
-    assert!(create_proof_with_rng(&params, &pk, &witness, &mut rng).is_err());
+    assert!(prove_unweighted(&params, &pk, &witness, &mut rng).is_err());
 }
 
 /// Circuit 2: lookup-based range check plus a ReLU-style (x, f(x)) table.
@@ -241,8 +282,8 @@ fn lookup_circuit_proves_and_verifies_both_backends() {
         let params = params(backend, 7);
         let pk = keygen(&params, &cs, &pre, 5).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
-        let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
-        verify_proof(&params, &pk.vk, &[], &proof).unwrap_or_else(|e| {
+        let proof = prove_unweighted(&params, &pk, &witness, &mut rng).unwrap();
+        verify_settled(&params, &pk.vk, &[], &proof).unwrap_or_else(|e| {
             panic!("lookup circuit failed on {backend}: {e}");
         });
     }
@@ -256,7 +297,7 @@ fn lookup_rejects_out_of_table_witness() {
     let params = params(Backend::Kzg, 7);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(8);
-    assert!(create_proof_with_rng(&params, &pk, &witness, &mut rng).is_err());
+    assert!(prove_unweighted(&params, &pk, &witness, &mut rng).is_err());
 }
 
 /// Circuit 3: multi-phase challenge. Phase-1 column must equal `challenge *
@@ -295,8 +336,8 @@ fn challenge_phase_circuit() {
     let params = params(Backend::Kzg, 6);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(9);
-    let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
-    verify_proof(&params, &pk.vk, &[], &proof).unwrap();
+    let proof = prove_unweighted(&params, &pk, &witness, &mut rng).unwrap();
+    verify_settled(&params, &pk.vk, &[], &proof).unwrap();
 
     // A phase-1 column that ignores the challenge must fail.
     let av3: Vec<Fr> = (0..rows).map(|i| Fr::from_u64(i as u64 + 1)).collect();
@@ -306,11 +347,11 @@ fn challenge_phase_circuit() {
         advice1: Box::new(move |_| vec![(1usize, av3.clone())]),
     };
     let mut rng = StdRng::seed_from_u64(9);
-    let result = create_proof_with_rng(&params, &pk, &bad, &mut rng);
+    let result = prove_unweighted(&params, &pk, &bad, &mut rng);
     // The prover does not self-check gates, so it emits a proof; the
     // verifier must reject it.
     if let Ok(p) = result {
-        assert!(verify_proof(&params, &pk.vk, &[], &p).is_err());
+        assert!(verify_settled(&params, &pk.vk, &[], &p).is_err());
     }
 }
 
@@ -349,6 +390,6 @@ fn multi_row_accumulator_circuit() {
     let params = params(Backend::Kzg, 6);
     let pk = keygen(&params, &cs, &pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(10);
-    let proof = create_proof_with_rng(&params, &pk, &witness, &mut rng).unwrap();
-    verify_proof(&params, &pk.vk, &[], &proof).unwrap();
+    let proof = prove_unweighted(&params, &pk, &witness, &mut rng).unwrap();
+    verify_settled(&params, &pk.vk, &[], &proof).unwrap();
 }

@@ -8,14 +8,16 @@
 //! backend-specific opening argument. Section offsets are computed from the
 //! constraint system so every section gets hit regardless of circuit size.
 
+mod common;
+
+use common::{prove_unweighted, verify_settled};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkml_ff::{Field, Fr, PrimeField};
 use zkml_pcs::{Backend, Params};
 use zkml_plonk::protocol::opening_plan;
 use zkml_plonk::{
-    create_proof_with_rng, keygen, verify_proof, CellRef, Column, ConstraintSystem, Expression,
-    Preprocessed, Rotation, WitnessSource,
+    keygen, CellRef, Column, ConstraintSystem, Expression, Preprocessed, Rotation, WitnessSource,
 };
 
 struct VecWitness {
@@ -188,7 +190,7 @@ fn prove(
     let params = Params::setup(backend, params_k, &mut rng);
     let pk = keygen(&params, cs, pre, 5).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
-    let proof = create_proof_with_rng(&params, &pk, witness, &mut rng).unwrap();
+    let proof = prove_unweighted(&params, &pk, witness, &mut rng).unwrap();
     (params, pk, proof)
 }
 
@@ -201,7 +203,7 @@ fn assert_all_sections_reject(
     instance: &[Vec<Fr>],
 ) {
     let (params, pk, proof) = prove(backend, params_k, cs, pre, witness);
-    verify_proof(&params, &pk.vk, instance, &proof).unwrap();
+    verify_settled(&params, &pk.vk, instance, &proof).unwrap();
     for (name, start, end) in sections(cs, 5, proof.len()) {
         if start == end {
             continue;
@@ -211,14 +213,14 @@ fn assert_all_sections_reject(
         let pos = start + (end - start) / 2;
         bad[pos] ^= 0x2a;
         assert!(
-            verify_proof(&params, &pk.vk, instance, &bad).is_err(),
+            verify_settled(&params, &pk.vk, instance, &bad).is_err(),
             "{backend}: corrupting '{name}' (byte {pos}) was accepted"
         );
         // Truncate the proof at the section start: must be a clean read
         // error, not a panic.
         let truncated = proof[..start].to_vec();
         assert!(
-            verify_proof(&params, &pk.vk, instance, &truncated).is_err(),
+            verify_settled(&params, &pk.vk, instance, &truncated).is_err(),
             "{backend}: truncation before '{name}' was accepted"
         );
     }
@@ -252,33 +254,33 @@ fn corrupted_sections_rejected_lookup_ipa() {
 fn empty_and_garbage_proofs_rejected() {
     let (cs, pre, witness, instance) = mul_chain();
     let (params, pk, proof) = prove(Backend::Kzg, 6, &cs, &pre, &witness);
-    assert!(verify_proof(&params, &pk.vk, &instance, &[]).is_err());
-    assert!(verify_proof(&params, &pk.vk, &instance, &[0u8; 7]).is_err());
+    assert!(verify_settled(&params, &pk.vk, &instance, &[]).is_err());
+    assert!(verify_settled(&params, &pk.vk, &instance, &[0u8; 7]).is_err());
     let garbage: Vec<u8> = (0..proof.len()).map(|i| (i * 37 + 11) as u8).collect();
-    assert!(verify_proof(&params, &pk.vk, &instance, &garbage).is_err());
+    assert!(verify_settled(&params, &pk.vk, &instance, &garbage).is_err());
 }
 
 #[test]
 fn malformed_public_instances_rejected() {
     let (cs, pre, witness, instance) = mul_chain();
     let (params, pk, proof) = prove(Backend::Kzg, 6, &cs, &pre, &witness);
-    verify_proof(&params, &pk.vk, &instance, &proof).unwrap();
+    verify_settled(&params, &pk.vk, &instance, &proof).unwrap();
 
     // Wrong public value.
     let wrong = vec![vec![instance[0][0] + Fr::one()]];
-    assert!(verify_proof(&params, &pk.vk, &wrong, &proof).is_err());
+    assert!(verify_settled(&params, &pk.vk, &wrong, &proof).is_err());
 
     // Truncated: the instance column missing entirely.
-    assert!(verify_proof(&params, &pk.vk, &[], &proof).is_err());
+    assert!(verify_settled(&params, &pk.vk, &[], &proof).is_err());
     let empty_col: Vec<Vec<Fr>> = vec![vec![]];
-    assert!(verify_proof(&params, &pk.vk, &empty_col, &proof).is_err());
+    assert!(verify_settled(&params, &pk.vk, &empty_col, &proof).is_err());
 
     // Extra instance column.
     let extra = vec![instance[0].clone(), vec![Fr::one()]];
-    assert!(verify_proof(&params, &pk.vk, &extra, &proof).is_err());
+    assert!(verify_settled(&params, &pk.vk, &extra, &proof).is_err());
 
     // Instance column longer than the usable rows.
     let n = 1usize << 5;
     let overlong = vec![vec![Fr::one(); n]];
-    assert!(verify_proof(&params, &pk.vk, &overlong, &proof).is_err());
+    assert!(verify_settled(&params, &pk.vk, &overlong, &proof).is_err());
 }

@@ -3,6 +3,9 @@
 //! `to_bytes`/`from_bytes` — with a restored proving key still producing
 //! proofs the original verifying key accepts.
 
+mod common;
+
+use common::{prove_unweighted, verify_settled};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,8 +13,8 @@ use zkml_ff::{Fr, PrimeField};
 use zkml_pcs::{Backend, Params, Reader, Writer};
 use zkml_plonk::serialize::{read_cs, write_cs};
 use zkml_plonk::{
-    create_proof_with_rng, keygen, verify_proof, CellRef, Column, ConstraintSystem, Expression,
-    Gate, Lookup, Preprocessed, ProvingKey, Rotation, VerifyingKey, WitnessSource,
+    keygen, CellRef, Column, ConstraintSystem, Expression, Gate, Lookup, Preprocessed, ProvingKey,
+    Rotation, VerifyingKey, WitnessSource,
 };
 
 /// Deterministically builds an expression tree from a byte stream, covering
@@ -247,10 +250,10 @@ proptest! {
         prop_assert_eq!(&restored.l0_ext, &pk.l0_ext);
         // A proof from the restored key verifies under the *original* vk.
         let mut rng = StdRng::seed_from_u64(coeffs.len() as u64);
-        let proof = create_proof_with_rng(params(), &restored, &witness, &mut rng).unwrap();
-        verify_proof(params(), &pk.vk, &[vec![result]], &proof).unwrap();
+        let proof = prove_unweighted(params(), &restored, &witness, &mut rng).unwrap();
+        verify_settled(params(), &pk.vk, &[vec![result]], &proof).unwrap();
         prop_assert!(
-            verify_proof(params(), &pk.vk, &[vec![result + Fr::ONE]], &proof).is_err()
+            verify_settled(params(), &pk.vk, &[vec![result + Fr::ONE]], &proof).is_err()
         );
     }
 }

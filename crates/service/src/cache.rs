@@ -59,7 +59,8 @@ pub struct ArtifactKey {
     pub circuit: [u8; 32],
 }
 
-fn hex(bytes: &[u8]) -> String {
+/// Lowercase hex of a byte string (spill-file names, error messages).
+pub(crate) fn hex(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
     for b in bytes {
         out.push_str(&format!("{b:02x}"));

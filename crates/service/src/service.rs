@@ -2,7 +2,7 @@
 //! threads, with per-job deadlines, panic isolation, and shared access to
 //! the artifact cache and batch verifier.
 
-use crate::cache::{pk_matches_circuit, ArtifactCache, ArtifactKey, CacheOutcome};
+use crate::cache::{hex, pk_matches_circuit, ArtifactCache, ArtifactKey, CacheOutcome};
 use crate::error::ServiceError;
 use crate::registry::{ModelEntry, ModelRegistry};
 use crate::stats::{ServiceStats, StatsSnapshot};
@@ -209,7 +209,7 @@ impl JobSpec {
     }
 
     /// A segmented proving job for `graph`.
-    pub fn prove_segmented(
+    pub fn prove_in_segments(
         graph: Arc<Graph>,
         backend: Backend,
         seed: u64,
@@ -623,13 +623,13 @@ fn resolve_commitment(
         let entry = ctx
             .registry
             .get(&digest)
-            .ok_or_else(|| mismatch(format!("no published model {}", hex32(&digest))))?;
+            .ok_or_else(|| mismatch(format!("no published model {}", hex(&digest))))?;
         if let Some(c) = &carried {
             if c.digest != entry.commitment.digest {
                 return Err(mismatch(format!(
                     "proof carries commitment {} but model {} was published",
-                    hex32(&c.digest),
-                    hex32(&entry.commitment.digest),
+                    hex(&c.digest),
+                    hex(&entry.commitment.digest),
                 )));
             }
         }
@@ -705,15 +705,6 @@ fn verify_job(
             }
         }
     }
-}
-
-/// Lowercase hex of a 32-byte digest (for error messages).
-fn hex32(bytes: &[u8; 32]) -> String {
-    let mut out = String::with_capacity(64);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
 }
 
 /// Synthetic quantized inputs for a proving job, derived from the request
@@ -889,11 +880,11 @@ fn prove_job(
             let entry = ctx
                 .registry
                 .get(&digest)
-                .ok_or_else(|| mismatch(format!("no published model {}", hex32(&digest))))?;
+                .ok_or_else(|| mismatch(format!("no published model {}", hex(&digest))))?;
             if entry.backend != backend {
                 return Err(mismatch(format!(
                     "model {} was published for {:?}, job asks for {:?}",
-                    hex32(&digest),
+                    hex(&digest),
                     entry.backend,
                     backend
                 )));
@@ -901,7 +892,7 @@ fn prove_job(
             if entry.arch_hash != graph.arch_hash() {
                 return Err(mismatch(format!(
                     "graph architecture does not match published model {}",
-                    hex32(&digest)
+                    hex(&digest)
                 )));
             }
             Some(entry)
@@ -920,57 +911,48 @@ fn prove_job(
     // proofs from this reproduction should not be relied on for the hiding
     // property regardless.
     let t = Instant::now();
-    let mut proof_rng = StdRng::seed_from_u64(seed ^ ctx.proof_entropy ^ 0x9E37_79B9_7F4A_7C15);
-    let (proof, pending_wc, wc_bytes) = match &entry {
-        Some(entry) => {
-            // The committed-weight plane must be byte-identical to what
-            // was published: same circuit layout (column alignment) and
-            // same weight values. The values check is pure hashing — a
-            // tampered weight is caught before any proving work.
-            if entry.circuit != compiled.circuit_digest() {
-                return Err(mismatch(format!(
-                    "compiled circuit diverged from published model {} \
-                     (layout drift; republish the commitment)",
-                    hex32(&entry.digest)
-                )));
-            }
-            if entry.values_digest != compiled.committed_values_digest() {
-                return Err(mismatch(format!(
-                    "graph weights do not hash to published model {}",
-                    hex32(&entry.digest)
-                )));
-            }
-            // Commit-once/prove-many: reuse the registry's pre-encoded
-            // weights — zero weight encodings, zero commitment MSMs here.
-            let proof = compiled
-                .prove_with_weights(&params, &pk, &mut proof_rng, &[], &entry.weights)
-                .map_err(|e| ServiceError::Prove(e.to_string()))?;
-            (
-                proof,
-                Some(entry.commitment.clone()),
-                entry.commitment.to_bytes(),
-            )
+    // The committed-weight plane must be byte-identical to what was
+    // published: same circuit layout (column alignment) and same weight
+    // values. The values check is pure hashing — a tampered weight is
+    // caught before any proving work.
+    if let Some(entry) = &entry {
+        if entry.circuit != compiled.circuit_digest() {
+            return Err(mismatch(format!(
+                "compiled circuit diverged from published model {} \
+                 (layout drift; republish the commitment)",
+                hex(&entry.digest)
+            )));
         }
-        None if compiled.has_committed() => {
-            // No published reference: commit inline for this job and carry
-            // the commitment in the artifacts so the proof stays
-            // verifiable.
-            let (wc, weights) = compiled
+        if entry.values_digest != compiled.committed_values_digest() {
+            return Err(mismatch(format!(
+                "graph weights do not hash to published model {}",
+                hex(&entry.digest)
+            )));
+        }
+    }
+    // Commit-once/prove-many: a published model reuses the registry's
+    // pre-encoded weights — zero weight encodings, zero commitment MSMs
+    // here. Otherwise the job commits inline; a weight-bearing circuit's
+    // commitment rides in the artifacts so the proof stays verifiable.
+    let inline;
+    let (wc, weights) = match &entry {
+        Some(entry) => (&entry.commitment, entry.weights.as_ref()),
+        None => {
+            inline = compiled
                 .commit_weights(&params)
                 .map_err(|e| ServiceError::Prove(e.to_string()))?;
-            let proof = compiled
-                .prove_with_weights(&params, &pk, &mut proof_rng, &[], &weights)
-                .map_err(|e| ServiceError::Prove(e.to_string()))?;
-            let wc_bytes = wc.to_bytes();
-            (proof, Some(wc), wc_bytes)
-        }
-        None => {
-            let proof = compiled
-                .prove(&params, &pk, &mut proof_rng)
-                .map_err(|e| ServiceError::Prove(e.to_string()))?;
-            (proof, None, Vec::new())
+            (&inline.0, &inline.1)
         }
     };
+    let mut proof_rng = StdRng::seed_from_u64(seed ^ ctx.proof_entropy ^ 0x9E37_79B9_7F4A_7C15);
+    let proof = compiled
+        .prove_with_weights(&params, &pk, &mut proof_rng, &[], weights)
+        .map_err(|e| ServiceError::Prove(e.to_string()))?;
+    let carried_wc = compiled.has_committed().then(|| wc.clone());
+    let wc_bytes = carried_wc
+        .as_ref()
+        .map(zkml_plonk::WeightCommitment::to_bytes)
+        .unwrap_or_default();
     let prove_ms = t.elapsed().as_millis() as u64;
     ctx.stats.record_prove_latency_ms(prove_ms);
 
@@ -982,7 +964,7 @@ fn prove_job(
                 job_id: job.id,
                 instance: compiled.instance().to_vec(),
                 proof: proof.clone(),
-                weights: pending_wc,
+                weights: carried_wc,
             },
         );
     }
@@ -1027,7 +1009,6 @@ impl KeySource for CacheKeySource<'_> {
 
     fn proving_key(
         &self,
-        _model_hash: [u8; 32],
         backend: Backend,
         plan: &zkml::LayoutPlan,
         compiled: &zkml::CompiledCircuit,

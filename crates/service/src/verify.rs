@@ -3,24 +3,20 @@
 //!
 //! Grouping by key digest means the per-key work — resolving the SRS,
 //! holding the key's commitments hot in cache, walking the constraint
-//! system — is paid once per batch instead of once per proof. On top of
-//! that, each KZG proof's verification is run *deferred*
-//! ([`zkml_plonk::verify_proof_committed`], which checks committed-weight
-//! circuits against their published [`WeightCommitment`]): the transcript
-//! replay and MSM
-//! accumulation happen per proof, but the final pairing check is collected
-//! as a [`zkml_pcs::KzgAccumulator`] and the whole flush settles with one
-//! multi-pairing via [`zkml_pcs::batch_check`] — across groups, since the
-//! deterministic SRS shares one tau at every `k`. Only when that batch
-//! check fails are accumulators settled individually to attribute the
-//! failure to specific proofs. IPA has no deferrable tail and verifies
-//! completely per proof.
+//! system — is paid once per batch instead of once per proof. Each proof
+//! is replayed by [`zkml_plonk::verify_proof_committed`] (which checks
+//! committed-weight circuits against their published [`WeightCommitment`])
+//! with its KZG pairing deferred; [`zkml_pcs::settle_all`] then settles the
+//! whole flush with one multi-pairing — across groups, since the
+//! deterministic SRS shares one tau at every `k` — and settles proofs one
+//! by one only when that batch fails, to attribute the failure. IPA has no
+//! deferrable tail and verifies completely per proof.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use zkml_ff::Fr;
-use zkml_pcs::{batch_check, KzgAccumulator, Params, Verification};
+use zkml_pcs::{settle_all, Params, Verification};
 use zkml_plonk::{verify_proof_committed, ProvingKey, WeightCommitment};
 
 /// A proof waiting for verification.
@@ -75,14 +71,6 @@ pub struct BatchVerifier {
     groups: Mutex<HashMap<[u8; 64], Group>>,
 }
 
-/// A proof whose pairing check was deferred: where its outcome slot lives
-/// in the report, plus the accumulator and the SRS to settle against.
-struct DeferredProof {
-    outcome_index: usize,
-    acc: KzgAccumulator,
-    params: Arc<Params>,
-}
-
 impl BatchVerifier {
     /// Creates an empty verifier.
     pub fn new() -> Self {
@@ -111,8 +99,9 @@ impl BatchVerifier {
     }
 
     /// Verifies everything queued and empties the queue: transcript replay
-    /// per proof (grouped by verifying key), then one batched pairing for
-    /// every deferred KZG check.
+    /// per proof (grouped by verifying key), then [`settle_all`] settles
+    /// every deferred KZG check in one batched pairing, checking proofs one
+    /// by one only to attribute a failed batch.
     pub fn flush(&self) -> BatchReport {
         let drained: Vec<Group> = {
             let mut groups = self.groups.lock();
@@ -122,103 +111,48 @@ impl BatchVerifier {
             groups: drained.len(),
             ..BatchReport::default()
         };
-        let mut deferred: Vec<DeferredProof> = Vec::new();
-
+        // (outcome index, verification, params). Outcomes of proofs whose
+        // transcript replayed are recorded as verified; settlement
+        // downgrades any whose pairing fails.
+        let mut replayed: Vec<(usize, Verification, Arc<Params>)> = Vec::new();
         for group in drained {
-            let vk = &group.pk.vk;
             for p in group.pending {
-                match verify_proof_committed(
+                let result = verify_proof_committed(
                     &group.params,
-                    vk,
+                    &group.pk.vk,
                     &p.instance,
                     &p.proof,
                     &[],
                     p.weights.as_ref(),
-                ) {
-                    Ok(Verification::Complete) => {
-                        report.verified += 1;
-                        report.outcomes.push(BatchOutcome {
-                            job_id: p.job_id,
-                            ok: true,
-                            error: None,
-                        });
-                    }
-                    Ok(Verification::Deferred(acc)) => {
-                        // Outcome recorded optimistically; the settlement
-                        // pass below downgrades it if the pairing fails.
-                        report.verified += 1;
-                        report.outcomes.push(BatchOutcome {
-                            job_id: p.job_id,
-                            ok: true,
-                            error: None,
-                        });
-                        deferred.push(DeferredProof {
-                            outcome_index: report.outcomes.len() - 1,
-                            acc,
-                            params: Arc::clone(&group.params),
-                        });
-                    }
-                    Err(e) => {
-                        report.failed += 1;
-                        report.outcomes.push(BatchOutcome {
-                            job_id: p.job_id,
-                            ok: false,
-                            error: Some(e.to_string()),
-                        });
-                    }
+                );
+                report.outcomes.push(BatchOutcome {
+                    job_id: p.job_id,
+                    ok: result.is_ok(),
+                    error: result.as_ref().err().map(ToString::to_string),
+                });
+                if let Ok(v) = result {
+                    let index = report.outcomes.len() - 1;
+                    replayed.push((index, v, Arc::clone(&group.params)));
                 }
             }
         }
 
-        self.settle(&mut report, deferred);
+        let items: Vec<(Verification, &Params)> = replayed
+            .iter()
+            .map(|(_, v, params)| (v.clone(), params.as_ref()))
+            .collect();
+        match settle_all(&items) {
+            Ok(batched) => report.kzg_batched = batched,
+            Err(failed) => {
+                for i in failed {
+                    let o = &mut report.outcomes[replayed[i].0];
+                    o.ok = false;
+                    o.error = Some("KZG pairing check failed".to_string());
+                }
+            }
+        }
+        report.verified = report.outcomes.iter().filter(|o| o.ok).count();
+        report.failed = report.outcomes.len() - report.verified;
         report
-    }
-
-    /// Settles deferred KZG checks: one multi-pairing for every accumulator
-    /// sharing the first proof's tau (with the deterministic SRS, that is
-    /// all of them), then per-proof attribution only on failure.
-    fn settle(&self, report: &mut BatchReport, deferred: Vec<DeferredProof>) {
-        if deferred.is_empty() {
-            return;
-        }
-        fn srs_of(p: &DeferredProof) -> &zkml_pcs::KzgSrs {
-            match p.params.as_ref() {
-                Params::Kzg(s) => s,
-                Params::Ipa(_) => unreachable!("IPA verification is never deferred"),
-            }
-        }
-        let first_tau = srs_of(&deferred[0]).tau_g2;
-        let (foldable, foreign): (Vec<_>, Vec<_>) = deferred
-            .into_iter()
-            .partition(|p| srs_of(p).tau_g2 == first_tau);
-
-        let accs: Vec<KzgAccumulator> = foldable.iter().map(|p| p.acc.clone()).collect();
-        if batch_check(srs_of(&foldable[0]), &accs) {
-            report.kzg_batched = accs.len();
-        } else {
-            // Attribute: settle each accumulator on its own.
-            for p in &foldable {
-                if !p.acc.check(srs_of(p)) {
-                    fail(report, p.outcome_index, "KZG pairing check failed");
-                }
-            }
-        }
-        // Accumulators from a different setup (never the case with the
-        // deterministic SRS) cannot join the fold; settle them directly.
-        for p in &foreign {
-            if !p.acc.check(srs_of(p)) {
-                fail(report, p.outcome_index, "KZG pairing check failed");
-            }
-        }
-    }
-}
-
-fn fail(report: &mut BatchReport, index: usize, msg: &str) {
-    let o = &mut report.outcomes[index];
-    if o.ok {
-        o.ok = false;
-        o.error = Some(msg.to_string());
-        report.verified -= 1;
-        report.failed += 1;
     }
 }

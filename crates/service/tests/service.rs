@@ -109,7 +109,7 @@ fn segmented_job_proves_verifies_and_shards_cache() {
     let graph = Arc::new(tiny_mlp());
 
     let first = service
-        .submit(JobSpec::prove_segmented(
+        .submit(JobSpec::prove_in_segments(
             graph.clone(),
             Backend::Kzg,
             1,
@@ -136,7 +136,7 @@ fn segmented_job_proves_verifies_and_shards_cache() {
     assert_eq!(report.kzg_batched, 2, "one batched pairing for the chain");
 
     let second = service
-        .submit(JobSpec::prove_segmented(
+        .submit(JobSpec::prove_in_segments(
             graph.clone(),
             Backend::Kzg,
             2,

@@ -16,15 +16,16 @@
 //!    incoming slice, so the segments provably compute one composed
 //!    function.
 //! 2. **Transcript binding** — every segment proof is created with
-//!    [`zkml_plonk::create_proof_bound`] over the bundle's *chain digest*
+//!    [`zkml::CompiledCircuit::prove_with_weights`] (the one prover,
+//!    [`zkml_plonk::create_proof_committed`]) bound to the bundle's *chain digest*
 //!    (covering the model hash, backend, every segment's verifying key and
 //!    instance column) plus the segment's position, so a proof cannot be
 //!    replayed at another position or spliced into another bundle.
-//! 3. **Batched settlement** — on KZG, per-segment verification is run with
-//!    [`zkml_plonk::verify_proof_deferred`] and the pending accumulators
-//!    are settled with **one** multi-pairing via [`zkml_pcs::batch_check`]
-//!    (the fixed-seed SRS shares one tau across every `k`). IPA verifies
-//!    per segment.
+//! 3. **Batched settlement** — per-segment verification runs through
+//!    [`zkml_plonk::verify_proof_committed`], which defers each KZG
+//!    pairing; [`zkml_pcs::settle_all`] then settles the whole bundle with
+//!    **one** multi-pairing (the fixed-seed SRS shares one tau across
+//!    every `k`). IPA verifies per segment.
 
 pub mod bundle;
 pub mod prove;
@@ -32,8 +33,8 @@ pub mod verify;
 
 pub use bundle::{segment_binding, SegmentProof, SegmentedProof};
 pub use prove::{
-    compile_segments, prove_compiled, prove_segmented, CompiledSegment, FreshKeySource, KeySource,
-    SegmentSpec, DEFAULT_SRS_SEED,
+    compile_segments, prove_compiled, CompiledSegment, FreshKeySource, KeySource, SegmentSpec,
+    DEFAULT_SRS_SEED,
 };
 pub use verify::{verify_bundle, BundleReport};
 

@@ -5,7 +5,7 @@
 //! [`prove_compiled`] then derives the bundle's chain digest from the
 //! segment metadata and proves every segment concurrently on the
 //! `zkml-par` pool, each proof transcript-bound to its position in the
-//! chain. [`prove_segmented`] is the one-call composition.
+//! chain.
 
 use crate::bundle::{segment_binding, SegmentProof, SegmentedProof};
 use crate::ShardError;
@@ -48,13 +48,12 @@ pub trait KeySource: Sync {
     /// Commitment parameters supporting `2^k` rows for `backend`.
     fn params(&self, backend: Backend, k: u32) -> Arc<Params>;
 
-    /// The proving key for one compiled segment of the model hashing to
-    /// `model_hash`. `plan` is the layout plan the segment was synthesized
-    /// from (its digest keys caches before witnesses exist); `compiled` is
-    /// the synthesized segment for keygen or cache validation.
+    /// The proving key for one compiled segment. `plan` is the layout plan
+    /// the segment was synthesized from (its digest keys caches before
+    /// witnesses exist); `compiled` is the synthesized segment for keygen
+    /// or cache validation.
     fn proving_key(
         &self,
-        model_hash: [u8; 32],
         backend: Backend,
         plan: &LayoutPlan,
         compiled: &CompiledCircuit,
@@ -105,7 +104,6 @@ impl KeySource for FreshKeySource {
 
     fn proving_key(
         &self,
-        _model_hash: [u8; 32],
         _backend: Backend,
         _plan: &LayoutPlan,
         compiled: &CompiledCircuit,
@@ -226,23 +224,21 @@ pub fn prove_compiled(
         (
             Arc<Params>,
             Arc<ProvingKey>,
-            Option<(WeightCommitment, CommittedWeights)>,
+            WeightCommitment,
+            CommittedWeights,
         ),
         ZkmlError,
     >;
     let keyed: Vec<KeyMaterial> = zkml_par::par_map(segments.len(), |i| {
         let seg = &segments[i];
         let params = keys.params(backend, seg.compiled.k);
-        let pk = keys.proving_key(model_hash, backend, &seg.plan, &seg.compiled, &params)?;
-        // Weight-bearing segments commit their committed-column plane once
-        // here; the commitment rides in the bundle (chain-digested) and
-        // the encodings feed the bound proof below.
-        let weights = if seg.compiled.has_committed() {
-            Some(seg.compiled.commit_weights(&params)?)
-        } else {
-            None
-        };
-        Ok((params, pk, weights))
+        let pk = keys.proving_key(backend, &seg.plan, &seg.compiled, &params)?;
+        // Each segment commits its committed-column plane once here (empty
+        // for a weight-free segment); a weight-bearing segment's commitment
+        // rides in the bundle (chain-digested) and the encodings feed the
+        // bound proof below.
+        let (wc, weights) = seg.compiled.commit_weights(&params)?;
+        Ok((params, pk, wc, weights))
     });
     let mut material = Vec::with_capacity(segments.len());
     for r in keyed {
@@ -255,15 +251,16 @@ pub fn prove_compiled(
         segments: segments
             .iter()
             .zip(&material)
-            .map(|(seg, (_, pk, weights))| SegmentProof {
+            .map(|(seg, (_, pk, wc, _))| SegmentProof {
                 k: seg.compiled.k,
                 vk_bytes: pk.vk.to_bytes(),
                 boundary_in_len: seg.boundary_in_len as u32,
                 instance: seg.compiled.instance()[0].clone(),
-                weight_commitment: weights
-                    .as_ref()
-                    .map(|(wc, _)| wc.to_bytes())
-                    .unwrap_or_default(),
+                weight_commitment: if seg.compiled.has_committed() {
+                    wc.to_bytes()
+                } else {
+                    Vec::new()
+                },
                 proof: Vec::new(),
             })
             .collect(),
@@ -272,34 +269,15 @@ pub fn prove_compiled(
     let nsegs = segments.len();
 
     let proofs: Vec<Result<Vec<u8>, ZkmlError>> = zkml_par::par_map(nsegs, |i| {
-        let (params, pk, weights) = &material[i];
+        let (params, pk, _, weights) = &material[i];
         let mut rng = StdRng::seed_from_u64(segment_seed(seed, i));
         let binding = segment_binding(&chain, i, nsegs);
-        match weights {
-            Some((_, cw)) => segments[i]
-                .compiled
-                .prove_with_weights(params, pk, &mut rng, &binding, cw),
-            None => segments[i]
-                .compiled
-                .prove_bound(params, pk, &mut rng, &binding),
-        }
+        segments[i]
+            .compiled
+            .prove_with_weights(params, pk, &mut rng, &binding, weights)
     });
     for (slot, proof) in bundle.segments.iter_mut().zip(proofs) {
         slot.proof = proof?;
     }
     Ok(bundle)
-}
-
-/// One-call segmented proving: cut, compile, and prove a lowered schedule.
-pub fn prove_segmented(
-    sched: &OpSchedule,
-    spec: SegmentSpec,
-    model_hash: [u8; 32],
-    keys: &dyn KeySource,
-    opts: &OptimizerOptions,
-    hw: &HardwareStats,
-    seed: u64,
-) -> Result<SegmentedProof, ShardError> {
-    let segments = compile_segments(sched, spec, opts, hw)?;
-    prove_compiled(model_hash, &segments, keys, opts, seed)
 }

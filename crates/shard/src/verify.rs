@@ -4,7 +4,7 @@
 use crate::bundle::{segment_binding, SegmentedProof};
 use crate::ShardError;
 use std::sync::Arc;
-use zkml_pcs::{batch_check, Backend, KzgSrs, Params, Verification};
+use zkml_pcs::{settle_all, Backend, Params, Verification};
 use zkml_plonk::{verify_proof_committed, VerifyingKey, WeightCommitment};
 
 /// What a successful [`verify_bundle`] did.
@@ -33,8 +33,8 @@ pub struct BundleReport {
 ///    the bundle itself, so reordering, splicing, or tampering with any
 ///    segment's public data invalidates every proof's Fiat–Shamir
 ///    challenges.
-/// 4. **Settlement** — KZG pairing checks are deferred and folded into
-///    **one** multi-pairing via [`zkml_pcs::batch_check`] (all segments
+/// 4. **Settlement** — KZG pairing checks are deferred and settled by
+///    [`zkml_pcs::settle_all`] in **one** multi-pairing (all segments
 ///    share the deterministic SRS's tau, whatever their `k`); IPA segments
 ///    were already settled in step 3.
 ///
@@ -128,57 +128,22 @@ where
         Ok((v, params))
     });
 
-    let mut accs = Vec::new();
-    let mut srs: Option<&KzgSrs> = None;
-    let mut held: Vec<Arc<Params>> = Vec::with_capacity(n);
-    for r in &results {
-        match r {
-            Err(e) => {
-                return Err(match e {
-                    ShardError::Verify(s) => ShardError::Verify(s.clone()),
-                    other => ShardError::Malformed(other.to_string()),
-                })
-            }
-            Ok((_, params)) => held.push(Arc::clone(params)),
-        }
-    }
-    for (i, r) in results.iter().enumerate() {
-        let Ok((v, _)) = r else { unreachable!() };
-        match v {
-            Verification::Complete => {}
-            Verification::Deferred(acc) => {
-                let Params::Kzg(s) = held[i].as_ref() else {
-                    return Err(ShardError::Verify(format!(
-                        "segment {i}: deferred verification without KZG params"
-                    )));
-                };
-                match srs {
-                    None => srs = Some(s),
-                    Some(first) => {
-                        // The deterministic setup shares one tau across
-                        // every k; a params source violating that cannot
-                        // be folded into one pairing.
-                        if first.tau_g2 != s.tau_g2 {
-                            return Err(ShardError::Verify(
-                                "segments use incompatible SRS instances".into(),
-                            ));
-                        }
-                    }
-                }
-                accs.push(acc.clone());
-            }
-        }
-    }
-
-    if let Some(s) = srs {
-        if !batch_check(s, &accs) {
-            return Err(ShardError::Verify("batched KZG settlement failed".into()));
-        }
-    }
+    let (verifications, params): (Vec<Verification>, Vec<Arc<Params>>) = results
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
+    let items: Vec<(Verification, &Params)> = verifications
+        .into_iter()
+        .zip(params.iter().map(Arc::as_ref))
+        .collect();
+    let kzg_batched = settle_all(&items).map_err(|failed| {
+        ShardError::Verify(format!("KZG settlement failed for segments {failed:?}"))
+    })?;
 
     Ok(BundleReport {
         segments: n,
-        kzg_batched: accs.len(),
+        kzg_batched,
     })
 }
 

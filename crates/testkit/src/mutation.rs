@@ -164,6 +164,9 @@ pub fn cross_check_real_verifier(
     let pk = compiled
         .keygen(params)
         .map_err(|e| format!("keygen failed: {e}"))?;
+    let (wc, weights) = compiled
+        .commit_weights(params)
+        .map_err(|e| format!("commit weights failed: {e}"))?;
     let mut mock = compiled.mock().map_err(|e| format!("mock failed: {e}"))?;
     for (i, cell) in cells.iter().enumerate() {
         let orig = mock.cell(*cell);
@@ -172,13 +175,13 @@ pub fn cross_check_real_verifier(
             .to_witness()
             .ok_or_else(|| "circuit uses challenges; cannot cross-check".to_string())?;
         let mut rng = rand::rngs::StdRng::seed_from_u64(rng_seed + i as u64);
-        let accepted = match zkml_plonk::create_proof_with_rng(params, &pk, &witness, &mut rng) {
-            Err(_) => false,
-            Ok(proof) => {
-                let instance = zkml_plonk::WitnessSource::instance(&witness);
-                zkml_plonk::verify_proof(params, &pk.vk, &instance, &proof).is_ok()
-            }
-        };
+        let proved =
+            zkml_plonk::create_proof_committed(params, &pk, &witness, &mut rng, &[], &weights);
+        let accepted = proved.is_ok_and(|proof| {
+            let instance = zkml_plonk::WitnessSource::instance(&witness);
+            zkml_plonk::verify_proof_committed(params, &pk.vk, &instance, &proof, &[], Some(&wc))
+                .is_ok_and(|v| v.settle(params))
+        });
         mock.set_cell(*cell, orig);
         if accepted {
             return Err(format!(

@@ -103,12 +103,18 @@ fn static_and_dynamic_analyses_agree_on_the_toy_fixture() {
 /// The tentpole guarantee for models: every candidate layout the
 /// optimizer evaluated (all column counts, all gadget mixes) must be
 /// fully determined, so a layout bug cannot hide in a candidate the cost
-/// model happened to reject. Also enforces the check.sh time budget.
+/// model happened to reject.
+///
+/// The sweep's cost is bounded in work, not seconds: the number of
+/// candidate layouts analyzed per model is pinned (the sweep is
+/// layout-local and runs on the fixture cost table, so the count is the
+/// same at every thread count and on every host). A change that grows or
+/// shrinks the candidate set must re-pin it on purpose.
 #[test]
 fn optimizer_layouts_analyze_clean_for_example_models() {
-    let start = Instant::now();
     let hw = HardwareStats::fixture();
-    for name in ["mnist", "dlrm"] {
+    for (name, pinned_layouts) in [("mnist", 134), ("dlrm", 72)] {
+        let start = Instant::now();
         let g = zkml_model::zoo::by_name(name).expect("model exists");
         let inputs = optimizer::zero_inputs(&g);
         let mut opts = OptimizerOptions::new(Backend::Kzg, 14);
@@ -119,7 +125,11 @@ fn optimizer_layouts_analyze_clean_for_example_models() {
         let analyses = report
             .analyze_all_layouts()
             .unwrap_or_else(|e| panic!("{name}: candidate analysis failed: {e}"));
-        assert!(!analyses.is_empty(), "{name}: no layouts analyzed");
+        assert_eq!(
+            analyses.len(),
+            pinned_layouts,
+            "{name}: the number of candidate layouts analyzed changed"
+        );
         for (cfg, analysis) in &analyses {
             assert!(
                 analysis.is_clean(),
@@ -134,9 +144,4 @@ fn optimizer_layouts_analyze_clean_for_example_models() {
             start.elapsed()
         );
     }
-    assert!(
-        start.elapsed().as_secs() < 30,
-        "candidate-layout analysis exceeded the 30s budget: {:?}",
-        start.elapsed()
-    );
 }

@@ -9,6 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkml_pcs::{Backend, Params};
+use zkml_plonk::verify_proof_committed;
 use zkml_testkit::{
     compile_case, cross_check_real_verifier, mutate_compiled, run_conformance, toy_case, zoo,
 };
@@ -137,8 +138,14 @@ fn real_verifier_rejects_mutated_witnesses() {
 
     // Sanity: the honest witness proves and verifies.
     let pk = compiled.keygen(&params).unwrap();
-    let proof = compiled.prove(&params, &pk, &mut rng).unwrap();
-    compiled.verify(&params, &pk.vk, &proof).unwrap();
+    let (wc, weights) = compiled.commit_weights(&params).unwrap();
+    let proof = compiled
+        .prove_with_weights(&params, &pk, &mut rng, &[], &weights)
+        .unwrap();
+    let verified =
+        verify_proof_committed(&params, &pk.vk, compiled.instance(), &proof, &[], Some(&wc))
+            .unwrap();
+    assert!(verified.settle(&params));
 
     // Every mutated grid must be rejected end-to-end. Sample a spread of
     // assigned cells to keep the test fast.

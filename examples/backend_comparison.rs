@@ -12,6 +12,7 @@ use rand::SeedableRng;
 use std::time::Instant;
 use zkml::{compile, CircuitConfig, LayoutChoices};
 use zkml_pcs::{Backend, Params};
+use zkml_plonk::verify_proof_committed;
 use zkml_tensor::FixedPoint;
 
 fn main() {
@@ -47,10 +48,16 @@ fn main() {
         let setup = t.elapsed();
         let pk = compiled.keygen(&params).expect("keygen");
         let t = Instant::now();
-        let proof = compiled.prove(&params, &pk, &mut rng).expect("prove");
+        let (wc, weights) = compiled.commit_weights(&params).expect("commit weights");
+        let proof = compiled
+            .prove_with_weights(&params, &pk, &mut rng, &[], &weights)
+            .expect("prove");
         let prove = t.elapsed();
         let t = Instant::now();
-        compiled.verify(&params, &pk.vk, &proof).expect("verify");
+        let v =
+            verify_proof_committed(&params, &pk.vk, compiled.instance(), &proof, &[], Some(&wc))
+                .expect("verify");
+        assert!(v.settle(&params), "pairing check failed");
         let verify = t.elapsed();
         println!(
             "| {backend} | {setup:.2?} | {prove:.2?} | {verify:.2?} | {} B |",

@@ -13,6 +13,7 @@ use rand::{Rng, SeedableRng};
 use zkml::{compile, CircuitConfig, LayoutChoices};
 use zkml_model::{Activation, GraphBuilder, Op};
 use zkml_pcs::{Backend, Params};
+use zkml_plonk::verify_proof_committed;
 use zkml_tensor::{FixedPoint, Tensor};
 
 /// A small matching network: both embeddings pass through a shared
@@ -82,8 +83,13 @@ fn main() {
             let pk = compiled.keygen(&params).expect("keygen");
             (params, pk)
         });
-        let proof = compiled.prove(params, pk, &mut rng).expect("prove");
-        compiled.verify(params, &pk.vk, &proof).expect("verify");
+        let (wc, weights) = compiled.commit_weights(params).expect("commit weights");
+        let proof = compiled
+            .prove_with_weights(params, pk, &mut rng, &[], &weights)
+            .expect("prove");
+        let v = verify_proof_committed(params, &pk.vk, compiled.instance(), &proof, &[], Some(&wc))
+            .expect("verify");
+        assert!(v.settle(params), "pairing check failed");
         let score = fp.dequantize(compiled.outputs[0].data()[0]);
         println!(
             "{label}: match score {score:.3} (proof {} bytes, verified ✓) -> {}",

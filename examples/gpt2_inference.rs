@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkml::{optimizer, OptimizerOptions};
 use zkml_pcs::{Backend, Params};
+use zkml_plonk::verify_proof_committed;
 use zkml_tensor::FixedPoint;
 
 fn main() {
@@ -64,11 +65,16 @@ fn main() {
     let pk = compiled.keygen(&params).expect("keygen");
 
     let t = std::time::Instant::now();
-    let proof = compiled.prove(&params, &pk, &mut rng).expect("prove");
+    let (wc, weights) = compiled.commit_weights(&params).expect("commit weights");
+    let proof = compiled
+        .prove_with_weights(&params, &pk, &mut rng, &[], &weights)
+        .expect("prove");
     println!("proved transformer inference in {:?}", t.elapsed());
 
     let t = std::time::Instant::now();
-    compiled.verify(&params, &pk.vk, &proof).expect("verify");
+    let v = verify_proof_committed(&params, &pk.vk, compiled.instance(), &proof, &[], Some(&wc))
+        .expect("verify");
+    assert!(v.settle(&params), "pairing check failed");
     println!(
         "verified in {:?} — proof {} bytes, logits for last token: {:?}",
         t.elapsed(),

@@ -10,6 +10,7 @@ use rand::SeedableRng;
 use zkml::{compile, CircuitConfig, LayoutChoices};
 use zkml_model::{Activation, GraphBuilder, Op};
 use zkml_pcs::{Backend, Params};
+use zkml_plonk::verify_proof_committed;
 use zkml_tensor::{FixedPoint, Tensor};
 
 fn main() {
@@ -49,12 +50,19 @@ fn main() {
         compiled.k, compiled.stats.num_advice, compiled.stats.num_lookups
     );
 
-    // 4. Setup + keygen + prove + verify (KZG backend).
+    // 4. Setup + keygen + weight commitment + prove + verify (KZG backend).
+    // The weight commitment is published once per model; a proof verifies
+    // only against it.
     let mut rng = StdRng::seed_from_u64(1);
     let params = Params::setup(Backend::Kzg, compiled.k, &mut rng);
     let pk = compiled.keygen(&params).expect("keygen");
-    let proof = compiled.prove(&params, &pk, &mut rng).expect("prove");
-    compiled.verify(&params, &pk.vk, &proof).expect("verify");
+    let (wc, weights) = compiled.commit_weights(&params).expect("commit weights");
+    let proof = compiled
+        .prove_with_weights(&params, &pk, &mut rng, &[], &weights)
+        .expect("prove");
+    let v = verify_proof_committed(&params, &pk.vk, compiled.instance(), &proof, &[], Some(&wc))
+        .expect("verify");
+    assert!(v.settle(&params), "pairing check failed");
 
     println!("proof: {} bytes — verified ✓", proof.len());
     println!(

@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use zkml::{compile, CircuitConfig, LayoutChoices};
 use zkml_pcs::{Backend, Params};
+use zkml_plonk::verify_proof_committed;
 use zkml_tensor::{FixedPoint, Tensor};
 
 fn main() {
@@ -34,6 +35,8 @@ fn main() {
     let mut srs_rng = StdRng::seed_from_u64(7);
     let params = Params::setup(Backend::Kzg, probe.k, &mut srs_rng);
     let pk = probe.keygen(&params).expect("keygen");
+    // The platform publishes the model's weight commitment once.
+    let (wc, weights) = probe.commit_weights(&params).expect("commit weights");
     println!(
         "MaskNet circuit: 2^{} rows, {} columns — keys ready",
         probe.k, probe.stats.num_advice
@@ -43,17 +46,20 @@ fn main() {
     let mut scored = Vec::new();
     for (i, cand) in candidates.iter().enumerate() {
         let compiled = compile(&model, std::slice::from_ref(cand), cfg).expect("compile");
-        let proof = compiled.prove(&params, &pk, &mut rng).expect("prove");
+        let proof = compiled
+            .prove_with_weights(&params, &pk, &mut rng, &[], &weights)
+            .expect("prove");
         let score = fp.dequantize(compiled.outputs[0].data()[0]);
         println!("tweet #{i}: score {score:.4}, proof {} bytes", proof.len());
         scored.push((i, score, compiled, proof));
     }
 
-    // The auditor verifies every score against the committed circuit.
+    // The auditor verifies every score against the committed circuit and
+    // the published weight commitment.
     for (i, score, compiled, proof) in &scored {
-        compiled
-            .verify(&params, &pk.vk, proof)
+        let v = verify_proof_committed(&params, &pk.vk, compiled.instance(), proof, &[], Some(&wc))
             .unwrap_or_else(|e| panic!("tweet #{i} proof rejected: {e}"));
+        assert!(v.settle(&params), "tweet #{i}: pairing check failed");
         println!("auditor: tweet #{i} score {score:.4} verified ✓");
     }
 

@@ -1,6 +1,9 @@
 //! Workspace-level integration tests: optimizer + compiler + proving system
 //! working together across crates.
 
+mod common;
+
+use common::{prove, verify};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zkml::{compile, optimizer, CircuitConfig, LayoutChoices, Objective, OptimizerOptions};
@@ -49,8 +52,8 @@ fn optimizer_chooses_a_config_that_proves() {
     let mut rng = StdRng::seed_from_u64(1);
     let params = Params::setup(Backend::Kzg, compiled.k, &mut rng);
     let pk = compiled.keygen(&params).expect("keygen");
-    let proof = compiled.prove(&params, &pk, &mut rng).expect("prove");
-    compiled.verify(&params, &pk.vk, &proof).expect("verify");
+    let (proof, wc) = prove(&compiled, &params, &pk, &mut rng).expect("prove");
+    verify(&params, &pk.vk, compiled.instance(), &proof, &wc).expect("verify");
 }
 
 #[test]
@@ -129,9 +132,11 @@ fn proofs_are_transferable_between_equal_compilations() {
     let pk_a = a.keygen(&params).unwrap();
     let pk_b = b.keygen(&params).unwrap();
     assert_eq!(pk_a.vk.digest, pk_b.vk.digest, "keys must be reproducible");
-    let proof = a.prove(&params, &pk_a, &mut rng).unwrap();
-    // Verify the proof produced under compilation A with B's key.
-    b.verify(&params, &pk_b.vk, &proof).unwrap();
+    let (proof, _) = prove(&a, &params, &pk_a, &mut rng).unwrap();
+    // Verify the proof produced under compilation A with B's key, public
+    // outputs and weight commitment.
+    let (wc_b, _) = b.commit_weights(&params).unwrap();
+    verify(&params, &pk_b.vk, b.instance(), &proof, &wc_b).unwrap();
 }
 
 #[test]
@@ -145,9 +150,8 @@ fn ipa_and_kzg_agree_on_the_statement() {
     for backend in [Backend::Kzg, Backend::Ipa] {
         let params = Params::setup(backend, compiled.k, &mut rng);
         let pk = compiled.keygen(&params).unwrap();
-        let proof = compiled.prove(&params, &pk, &mut rng).unwrap();
-        compiled
-            .verify(&params, &pk.vk, &proof)
+        let (proof, wc) = prove(&compiled, &params, &pk, &mut rng).unwrap();
+        verify(&params, &pk.vk, compiled.instance(), &proof, &wc)
             .unwrap_or_else(|e| panic!("{backend}: {e}"));
     }
 }

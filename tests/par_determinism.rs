@@ -8,6 +8,9 @@
 //! re-runs the whole suite under `ZKML_THREADS=1` to cover the env-var
 //! path.
 
+mod common;
+
+use common::{prove, verify};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,8 +116,8 @@ fn prove_verify_roundtrip_identical_across_thread_counts() {
         let mut rng = StdRng::seed_from_u64(99);
         let params = Params::setup(Backend::Kzg, compiled.k, &mut rng);
         let pk = compiled.keygen(&params).expect("keygen");
-        let proof = compiled.prove(&params, &pk, &mut rng).expect("prove");
-        compiled.verify(&params, &pk.vk, &proof).expect("verify");
+        let (proof, wc) = prove(&compiled, &params, &pk, &mut rng).expect("prove");
+        verify(&params, &pk.vk, compiled.instance(), &proof, &wc).expect("verify");
         (pk.vk.digest.to_vec(), proof)
     };
     let (digest_1, proof_1) = zkml_par::with_pool(&zkml_par::Pool::new(1), run);
